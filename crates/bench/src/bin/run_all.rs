@@ -5,10 +5,8 @@
 //! straight from the tier-1 artifact run. Per-search telemetry (outcome
 //! counters, cache hit rates) lands in `results/telemetry.json`.
 
-use madmax_bench::{emit, experiments as e, SearchHooks};
+use madmax_bench::{emit, experiments, SearchHooks};
 use madmax_obs::{ElapsedSummary, TelemetrySpool};
-
-type Experiment<'a> = (&'static str, Box<dyn Fn() -> String + 'a>);
 
 fn main() {
     let threads = madmax_bench::default_threads();
@@ -19,76 +17,8 @@ fn main() {
         spool: Some(&spool),
         verify: false,
     };
-    let h = &hooks;
-    let runs: Vec<Experiment> = vec![
-        ("table1_validation", Box::new(e::tables::table1)),
-        ("table2_model_suite", Box::new(e::tables::table2)),
-        ("table3_systems", Box::new(e::tables::table3)),
-        ("table4_hw_specs", Box::new(e::tables::table4)),
-        (
-            "fig01_pareto_frontier",
-            Box::new(|| {
-                e::hardware_figs::fig16(
-                    "Fig. 1: Resource-performance pareto frontier (cloud DLRM-A)",
-                )
-            }),
-        ),
-        (
-            "fig03_model_characterization",
-            Box::new(e::characterization::fig03),
-        ),
-        (
-            "fig04_fleet_characterization",
-            Box::new(e::characterization::fig04),
-        ),
-        ("fig06_sample_streams", Box::new(e::validation_figs::fig06)),
-        ("fig07_dlrm_validation", Box::new(e::validation_figs::fig07)),
-        ("fig08_vit_validation", Box::new(e::validation_figs::fig08)),
-        ("fig09_fsdp_prefetch", Box::new(e::validation_figs::fig09)),
-        (
-            "fig10_pretraining_speedup",
-            Box::new(move || e::strategy_figs::fig10(h)),
-        ),
-        (
-            "fig11_dlrm_strategy_sweep",
-            Box::new(e::strategy_figs::fig11),
-        ),
-        ("fig12_dlrm_variants", Box::new(e::strategy_figs::fig12)),
-        ("fig13_variant_pareto", Box::new(e::strategy_figs::fig13)),
-        ("fig14_task_diversity", Box::new(e::strategy_figs::fig14)),
-        ("fig15_context_length", Box::new(e::strategy_figs::fig15)),
-        (
-            "fig16_cloud_instances",
-            Box::new(|| {
-                e::hardware_figs::fig16(
-                    "Fig. 16: Cloud instance configurations and workload mappings",
-                )
-            }),
-        ),
-        ("fig17_gpu_generations", Box::new(e::hardware_figs::fig17)),
-        (
-            "fig18_commodity_hardware",
-            Box::new(move || e::hardware_figs::fig18(h)),
-        ),
-        ("fig19_hardware_scaling", Box::new(e::hardware_figs::fig19)),
-        (
-            "fig20_execution_breakdown",
-            Box::new(e::hardware_figs::fig20),
-        ),
-        (
-            "fig_pipeline_schedules",
-            Box::new(move || e::pipeline_figs::fig_pipeline_schedules(h)),
-        ),
-        ("fig_serve", Box::new(move || e::serve_figs::fig_serve(h))),
-        (
-            "fig_serve_load",
-            Box::new(move || e::serve_load_figs::fig_serve_load(h)),
-        ),
-        ("fig_fault", Box::new(move || e::fault_figs::fig_fault(h))),
-        ("ablations", Box::new(e::ablations::run)),
-    ];
     let mut summary = ElapsedSummary::new();
-    for (name, f) in runs {
+    for (name, f) in experiments::all(hooks) {
         eprintln!(">>> {name}");
         let report = summary.run(name, f);
         emit(name, &report);
