@@ -720,12 +720,30 @@ fn print_report(
     Ok(())
 }
 
+const USAGE: &str = "\
+usage: madmax <command> [flags]
+
+commands:
+  list                                  models and systems
+  simulate --model M --system S [...]   simulate one plan (--config-dir D: from JSON)
+  search   --model M --system S [...]   search for the best plan
+  verify   [--only FAMILY]              verify the corpus schedules
+  config   --model M --out DIR          emit model/system/experiment JSON
+
+common flags: --task pretraining|inference|finetune-dense|finetune-embedding|serve,
+  --prompt N --decode N --decode-batch N --kv true|false (serve),
+  --embedding/--dense/--transformer/--moe \"(TP, DDP)\" (per-class strategies)";
+
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
-        return Err("usage: madmax <list|simulate|search|verify|config> [flags]".to_owned());
+        return Err(USAGE.to_owned());
     };
     match cmd.as_str() {
+        "--help" | "-h" | "help" => {
+            println!("{USAGE}");
+            Ok(())
+        }
         "list" => {
             println!("models:");
             for (name, id) in models() {

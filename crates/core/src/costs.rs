@@ -346,15 +346,15 @@ impl<'a> CostTable<'a> {
         }
     }
 
-    /// Whether cached serve evaluations may use the closed-form
+    /// Whether serve evaluations may use the closed-form
     /// steady-state decode path.
     pub fn analytic_serve(&self) -> bool {
         self.analytic_serve
     }
 
-    /// Enables or disables the closed-form serve path for cached
-    /// evaluations through this table. One-shot runs ([`crate::run_flat`])
-    /// always simulate in full regardless.
+    /// Enables or disables the closed-form serve path for evaluations
+    /// through this table. With it off, every serve evaluation assembles
+    /// and schedules the full trace.
     pub fn set_analytic_serve(&mut self, on: bool) {
         self.analytic_serve = on;
     }
@@ -639,12 +639,12 @@ impl<'a> CostTable<'a> {
     /// The assembly phase: builds the full per-iteration trace for `plan`
     /// into `trace` (cleared first), composing cached costs.
     ///
-    /// Training and prefill-only workloads reproduce `TraceBuilder`'s op
-    /// stream exactly — same ops, same order, same durations, same
-    /// dependencies. Serve workloads with decode steps append
-    /// `decode_len` autoregressive single-token passes after the prefill,
-    /// each chained on the previous step's output and stretched by the
-    /// KV-cache read at its token position.
+    /// Training and prefill-only workloads get one forward (and, when
+    /// training, backward) pass; see [`crate::builder`] for its structure.
+    /// Serve workloads with decode steps append `decode_len`
+    /// autoregressive single-token passes after the prefill, each chained
+    /// on the previous step's output and stretched by the KV-cache read at
+    /// its token position.
     ///
     /// # Panics
     ///

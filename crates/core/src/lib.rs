@@ -10,7 +10,7 @@
 //!
 //! The unified front door to the performance model is
 //! `madmax_engine::Scenario`, which dispatches between this crate's flat
-//! engine ([`run_flat`]) and `madmax-pipeline`'s stage engine. The
+//! engine ([`run_flat_cached`]) and `madmax-pipeline`'s stage engine. The
 //! `validation` module holds the paper's Table I / Fig. 7-9 reference
 //! experiments.
 //!
@@ -35,10 +35,12 @@
 //! search (`CostTable::ensure_plan` for every candidate, before spawning
 //! workers) and shares it read-only (`&CostTable` is `Sync`) across the
 //! worker pool; each worker owns an `EngineScratch` and evaluates
-//! candidates through [`run_flat_cached`]. A table must only be used with
-//! plans whose pricing-relevant options (`activation_checkpointing`,
-//! `collective_dtype`) match its context — this is asserted — and
-//! produces reports byte-identical to the one-shot [`run_flat`] path.
+//! candidates through [`run_flat_cached`]. A one-shot run is the same
+//! path over a single-use table priced for its one plan. A table must
+//! only be used with plans whose pricing-relevant options
+//! (`activation_checkpointing`, `collective_dtype`) match its context —
+//! this is asserted — and a shared table produces reports byte-identical
+//! to single-use ones.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -62,7 +64,7 @@ pub use compute::UtilizationModel;
 pub use costs::{CostTable, PricedComm, StrategyCosts};
 pub use counters::{CacheCounters, CacheStats};
 pub use metrics::{serve_stats_from, IterationReport, ReportScratch, ServeStats};
-pub use perf::{build_flat_trace, run_flat, run_flat_cached, run_flat_default};
+pub use perf::{run_flat_cached, run_flat_default};
 pub use sim::{
     debug_check_schedule, merged, merged_into, schedule, schedule_into, single_difference_measure,
     EngineScratch, OpWindow, ReportMemo, Schedule, StreamTable,
@@ -78,7 +80,7 @@ pub use trace::{
 #[cfg(test)]
 mod cross_module_tests {
     use crate::perf::run_flat_default;
-    use crate::{IterationReport, Schedule, Trace, UtilizationModel};
+    use crate::{CostTable, IterationReport, Trace, UtilizationModel};
     use madmax_hw::{catalog, ClusterSpec};
     use madmax_model::{ModelArch, ModelId};
     use madmax_parallel::{Plan, PlanError, Workload};
@@ -92,20 +94,19 @@ mod cross_module_tests {
         run_flat_default(model, cluster, plan, &workload)
     }
 
-    fn run_with_trace(
-        model: &ModelArch,
-        cluster: &ClusterSpec,
-        plan: &Plan,
-        workload: Workload,
-    ) -> Result<(IterationReport, Trace, Schedule), PlanError> {
-        crate::run_flat(
+    fn assemble_trace(model: &ModelArch, cluster: &ClusterSpec, plan: &Plan) -> Trace {
+        let mut table = CostTable::new(
             model,
             cluster,
-            plan,
-            &workload,
+            Workload::pretrain(),
+            plan.options,
             &crate::HierarchicalNccl,
             UtilizationModel::Constant,
-        )
+        );
+        table.ensure_plan(plan);
+        let mut trace = Trace::new();
+        table.assemble_into(plan, &mut trace);
+        trace
     }
 
     #[test]
@@ -124,7 +125,7 @@ mod cross_module_tests {
         let model = ModelId::DlrmB.build();
         let sys = catalog::zionex_dlrm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let (_, trace, _) = run_with_trace(&model, &sys, &plan, Workload::pretrain()).unwrap();
+        let trace = assemble_trace(&model, &sys, &plan);
         let js = serde_json::to_string(&trace).unwrap();
         let back: crate::Trace = serde_json::from_str(&js).unwrap();
         assert_eq!(trace, back);

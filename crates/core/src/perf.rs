@@ -1,9 +1,13 @@
 //! The flat-SPMD execution engine: turns one (model, system, plan,
 //! workload) combination into an [`IterationReport`].
 //!
-//! [`run_flat`] is the low-level entry point behind the unified
-//! `madmax_engine::Scenario` front door. New code should go through
-//! `Scenario`, which also dispatches pipelined plans.
+//! [`run_flat_cached`] is the engine: it assembles a plan's trace from a
+//! priced [`CostTable`], schedules it, and builds the report. Design-space
+//! searches share one table across every candidate; one-shot runs price a
+//! single-use table for their one plan (`madmax_pipeline::run_single_use`,
+//! or [`run_flat_default`] inside this crate). New code should go through
+//! the unified `madmax_engine::Scenario` front door, which also
+//! dispatches pipelined plans.
 //!
 //! Serve workloads run their prefill and decode phases through the same
 //! trace machinery: the prefill is the familiar forward-only pass (over
@@ -13,27 +17,21 @@
 //!
 //! # Debug-assertions contract
 //!
-//! Every schedule this engine assembles — one-shot and cached paths
-//! alike — is cross-checked by [`crate::sim::debug_check_schedule`] in
-//! debug builds (causality, per-stream exclusivity, non-negative
-//! durations, makespan consistency). Release builds skip the check
-//! entirely; the full structural rule set with non-panicking diagnostics
-//! is `madmax-verify`.
+//! Every schedule this engine assembles is cross-checked by
+//! [`crate::sim::debug_check_schedule`] in debug builds (causality,
+//! per-stream exclusivity, non-negative durations, makespan consistency).
+//! Release builds skip the check entirely; the full structural rule set
+//! with non-panicking diagnostics is `madmax-verify`.
 
 use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
-use madmax_parallel::{check_memory, Plan, PlanError, Workload};
+use madmax_parallel::{Plan, PlanError, Workload};
 
-use crate::builder::TraceBuilder;
-use crate::collective::{CollectiveModel, HierarchicalNccl};
+use crate::collective::HierarchicalNccl;
 use crate::compute::UtilizationModel;
 use crate::costs::CostTable;
 use crate::metrics::IterationReport;
-use crate::sim::{schedule, schedule_into, EngineScratch, Schedule};
-use crate::trace::Trace;
-
-/// The default collective model instance.
-static DEFAULT_COLLECTIVES: HierarchicalNccl = HierarchicalNccl;
+use crate::sim::{schedule_into, EngineScratch};
 
 /// This engine executes the flat SPMD mapping only; plans that configure
 /// pipeline parallelism must go through `madmax-pipeline`'s stage engine
@@ -45,110 +43,21 @@ fn reject_pipelined(plan: &Plan) -> Result<(), PlanError> {
     }
 }
 
-/// The shared front half of the flat engine: validate, check memory, and
-/// price + build the trace. Both trace-only inspection and the full run
-/// go through here so the two views can never drift.
-fn prepare_flat<'a>(
-    model: &'a ModelArch,
-    cluster: &'a ClusterSpec,
-    plan: &'a Plan,
-    workload: &'a Workload,
-    collective_model: &'a dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<(CostTable<'a>, Trace, madmax_parallel::MemoryBreakdown), PlanError> {
-    reject_pipelined(plan)?;
-    let memory = check_memory(model, cluster, plan, workload)?;
-    let table = TraceBuilder {
-        model,
-        cluster,
-        plan,
-        workload,
-        collective_model,
-        utilization,
-    }
-    .price();
-    let mut trace = Trace::new();
-    table.assemble_into(plan, &mut trace);
-    Ok((table, trace, memory))
-}
-
-/// Builds the flat-SPMD trace without scheduling it (for inspection /
-/// Fig. 6 timelines).
+/// The flat engine: evaluates `plan` against a pre-priced [`CostTable`]
+/// using caller-owned buffers.
+///
+/// No compute or collective cost model is invoked (costs come from the
+/// table), and the trace arena, schedule, and stream-slot table in
+/// `scratch` are recycled across calls. Serve workloads with long decode
+/// streams take the closed-form steady-state path ([`crate::steady`])
+/// when the table allows it; otherwise the full trace and its schedule
+/// are left in `scratch.trace` and `scratch.sched`.
 ///
 /// # Errors
 ///
 /// Fails when the plan is pipelined ([`PlanError::PipelinedPlan`]),
 /// invalid ([`PlanError::InvalidStrategy`]), or the mapping does not fit
 /// in device memory ([`PlanError::OutOfMemory`]).
-pub fn build_flat_trace(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    collective_model: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<Trace, PlanError> {
-    prepare_flat(
-        model,
-        cluster,
-        plan,
-        workload,
-        collective_model,
-        utilization,
-    )
-    .map(|(_, trace, _)| trace)
-}
-
-/// Runs the flat-SPMD engine end to end, returning the report plus the
-/// trace and schedule for timeline rendering.
-///
-/// # Errors
-///
-/// Same conditions as [`build_flat_trace`].
-pub fn run_flat(
-    model: &ModelArch,
-    cluster: &ClusterSpec,
-    plan: &Plan,
-    workload: &Workload,
-    collective_model: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-) -> Result<(IterationReport, Trace, Schedule), PlanError> {
-    let (table, trace, memory) = {
-        let _span = crate::prof::span("price.flat");
-        prepare_flat(
-            model,
-            cluster,
-            plan,
-            workload,
-            collective_model,
-            utilization,
-        )?
-    };
-    let sched = {
-        let _span = crate::prof::span("assemble.flat");
-        schedule(&trace)
-    };
-    if cfg!(debug_assertions) {
-        crate::sim::debug_check_schedule(&trace, &sched);
-    }
-    let _span = crate::prof::span("report.flat");
-    let mut report = IterationReport::from_schedule(&trace, &sched, table.report_model(), memory);
-    report.serve = table.serve_stats(&trace, &sched);
-    Ok((report, trace, sched))
-}
-
-/// The flat engine's allocation-free fast path: evaluates `plan` against
-/// a shared, pre-priced [`CostTable`] using caller-owned buffers.
-///
-/// This is the design-space-exploration hot path — the report is
-/// byte-identical to [`run_flat`] with the same inputs, but no compute or
-/// collective cost model is invoked (costs come from the table) and the
-/// trace arena, schedule, and stream-slot table in `scratch` are recycled
-/// across calls.
-///
-/// # Errors
-///
-/// Same conditions as [`run_flat`].
 ///
 /// # Panics
 ///
@@ -212,27 +121,28 @@ pub fn run_flat_cached(
     Ok(report)
 }
 
-/// Runs the flat engine with the default cost models (the non-pipelined
-/// half of `madmax_engine::Scenario`).
+/// Runs the flat engine once with the default cost models, through a
+/// single-use [`CostTable`] priced for `plan` alone.
 ///
 /// # Errors
 ///
-/// Same conditions as [`run_flat`].
+/// Same conditions as [`run_flat_cached`].
 pub fn run_flat_default(
     model: &ModelArch,
     cluster: &ClusterSpec,
     plan: &Plan,
     workload: &Workload,
 ) -> Result<IterationReport, PlanError> {
-    run_flat(
+    let mut table = CostTable::new(
         model,
         cluster,
-        plan,
-        workload,
-        &DEFAULT_COLLECTIVES,
+        workload.clone(),
+        plan.options,
+        &HierarchicalNccl,
         UtilizationModel::Constant,
-    )
-    .map(|(report, _, _)| report)
+    );
+    table.ensure_plan(plan);
+    run_flat_cached(&table, plan, &mut EngineScratch::new())
 }
 
 #[cfg(test)]
@@ -288,29 +198,37 @@ mod tests {
         assert!(infer.serve.is_none(), "prefill-only runs carry no stats");
     }
 
+    /// One flat run through a single-use table with an explicit collective
+    /// model and the closed form off, returning the scratch that holds the
+    /// full trace and schedule.
+    fn run_with(
+        model: &ModelArch,
+        cluster: &ClusterSpec,
+        plan: &Plan,
+        collectives: &dyn crate::collective::CollectiveModel,
+    ) -> (IterationReport, EngineScratch) {
+        let mut table = CostTable::new(
+            model,
+            cluster,
+            Workload::pretrain(),
+            plan.options,
+            collectives,
+            UtilizationModel::Constant,
+        );
+        table.set_analytic_serve(false);
+        table.ensure_plan(plan);
+        let mut scratch = EngineScratch::new();
+        let report = run_flat_cached(&table, plan, &mut scratch).unwrap();
+        (report, scratch)
+    }
+
     #[test]
     fn collective_model_ablation_changes_results() {
         let model = ModelId::Gpt3.build();
         let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let (hier, _, _) = run_flat(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &DEFAULT_COLLECTIVES,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
-        let (flat, _, _) = run_flat(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &FlatWorstLink,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
+        let (hier, _) = run_with(&model, &sys, &plan, &HierarchicalNccl);
+        let (flat, _) = run_with(&model, &sys, &plan, &FlatWorstLink);
         assert!(flat.comm_time > hier.comm_time);
     }
 
@@ -319,17 +237,9 @@ mod tests {
         let model = ModelId::DlrmB.build();
         let sys = catalog::zionex_dlrm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let (report, trace, sched) = run_flat(
-            &model,
-            &sys,
-            &plan,
-            &Workload::pretrain(),
-            &DEFAULT_COLLECTIVES,
-            UtilizationModel::Constant,
-        )
-        .unwrap();
-        assert_eq!(trace.len(), sched.windows.len());
-        assert!((trace.serialized_time() / report.serialized_time - 1.0).abs() < 1e-12);
+        let (report, scratch) = run_with(&model, &sys, &plan, &HierarchicalNccl);
+        assert_eq!(scratch.trace.len(), scratch.sched.windows.len());
+        assert!((scratch.trace.serialized_time() / report.serialized_time - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -302,7 +302,6 @@ pub struct Explorer<'a> {
     threads: Option<NonZeroUsize>,
     progress: Option<&'a dyn ProgressSink>,
     verify_winner: bool,
-    analytic_serve: bool,
 }
 
 impl<'a> Explorer<'a> {
@@ -318,19 +317,7 @@ impl<'a> Explorer<'a> {
             threads: None,
             progress: None,
             verify_winner: false,
-            analytic_serve: true,
         }
-    }
-
-    /// Enables or disables the closed-form steady-state decode path for
-    /// serve candidates (`madmax_core::steady`; on by default). The
-    /// closed form is byte-identical to full simulation — searches return
-    /// the same winners and reports either way — so this knob exists for
-    /// A/B validation and as an escape hatch.
-    #[must_use]
-    pub fn analytic_serve(mut self, on: bool) -> Self {
-        self.analytic_serve = on;
-        self
     }
 
     /// Verifies the winner's trace and schedule with `madmax-verify`
@@ -505,9 +492,7 @@ impl<'a> Explorer<'a> {
     ) -> (Vec<Result<IterationReport, EngineError>>, SearchTelemetry) {
         let started = Instant::now();
         let workers = self.worker_count(plans.len());
-        let scenario = Scenario::new(self.model, self.system)
-            .workload_ref(workload)
-            .analytic_serve(self.analytic_serve);
+        let scenario = Scenario::new(self.model, self.system).workload_ref(workload);
         // Mixed-option plan lists (e.g. ablating prefetch on/off) cannot
         // share a pricing context; they fall back to per-plan pricing.
         let uniform_options = plans.windows(2).all(|w| w[0].options == w[1].options);
@@ -522,8 +507,7 @@ impl<'a> Explorer<'a> {
         let run = |plan: &Plan, scratch: &mut madmax_engine::EngineScratch| {
             let mut s = Scenario::new(self.model, self.system)
                 .plan_ref(plan)
-                .workload_ref(workload)
-                .analytic_serve(self.analytic_serve);
+                .workload_ref(workload);
             if let Some(t) = &table {
                 s = s.costs(t);
             }

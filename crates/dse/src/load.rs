@@ -96,12 +96,12 @@ pub struct LoadCandidate {
     /// The workload variant it served.
     pub workload: Workload,
     /// One point per swept rate, in rate order. Empty when the candidate
-    /// failed to price.
+    /// failed to price or a rate failed to simulate.
     pub points: Vec<LoadPoint>,
     /// Index into [`LoadCandidate::points`] of the best feasible point
     /// (highest throughput meeting the SLO), if any.
     pub best_point: Option<usize>,
-    /// Why the candidate failed to price, when it did.
+    /// Why the candidate failed to price or simulate, when it did.
     pub error: Option<EngineError>,
 }
 
@@ -162,7 +162,9 @@ impl Explorer<'_> {
     /// model and simulates every arrival rate in event mode (serially —
     /// one load run is itself a full request-stream simulation).
     /// Candidates whose pricing fails (OOM at the worst-case context,
-    /// unmappable pipeline, ...) stay in the outcome with their error.
+    /// unmappable pipeline, ...) or whose load run at some rate fails
+    /// (its clock leaving the exact grid) stay in the outcome with their
+    /// error.
     ///
     /// Ranking: highest [`LoadCandidate::score`] — throughput at the
     /// best SLO-feasible rate. When *no* candidate meets the SLO at any
@@ -173,7 +175,7 @@ impl Explorer<'_> {
     ///
     /// [`EngineError::InvalidLoad`] when the workload is not serve or
     /// the spec is invalid; the first candidate's error when every
-    /// candidate failed to price.
+    /// candidate failed.
     ///
     /// # Panics
     ///
@@ -217,8 +219,19 @@ impl Explorer<'_> {
                     }
                 };
                 let mut points = Vec::with_capacity(sweep.len());
+                let mut error = None;
                 for (rate, spec) in &sweep {
-                    let outcome = scenario.serve_load_priced(spec, &costs, SimMode::Event, None)?;
+                    let outcome =
+                        match scenario.serve_load_priced(spec, &costs, SimMode::Event, None) {
+                            Ok(outcome) => outcome,
+                            Err(e) => {
+                                // A run leaving the exact grid fails this
+                                // candidate only, like a pricing error.
+                                points.clear();
+                                error = Some(e);
+                                break;
+                            }
+                        };
                     evaluated += 1;
                     let feasible = axes
                         .slo_ttft_p99
@@ -242,7 +255,7 @@ impl Explorer<'_> {
                     workload: workload.clone(),
                     points,
                     best_point,
-                    error: None,
+                    error,
                 });
             }
         }
@@ -267,7 +280,7 @@ impl Explorer<'_> {
                 match fallback {
                     Some(i) => i,
                     None => {
-                        // Every candidate failed to price.
+                        // Every candidate failed.
                         return Err(candidates
                             .into_iter()
                             .next()
@@ -326,7 +339,7 @@ mod tests {
     use crate::explore::{PipelineAxes, SearchSpace};
     use madmax_hw::catalog;
     use madmax_model::ModelId;
-    use madmax_parallel::{PipelineSchedule, ServeConfig};
+    use madmax_parallel::{PipelineSchedule, RequestSpec, ServeConfig};
 
     /// A Llama2 prefill at 256 tokens costs ~10 s on this system, so the
     /// interesting rate regime is fractional requests/second and SLOs are
@@ -407,6 +420,43 @@ mod tests {
             assert!(c.error.is_some() || c.points.len() == 2);
         }
         assert!(r.best().best_point.is_some());
+    }
+
+    #[test]
+    fn a_candidate_leaving_the_grid_fails_alone() {
+        // Eight requests arriving 14 s before the 2^52-unit clock limit
+        // (2^14 s): the flat plan needs ~33 s to serve them and overflows,
+        // the 8-stage pipeline needs ~1.4 s and completes.
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let explorer = Explorer::new(&model, &sys)
+            .workload(Workload::serve(
+                ServeConfig::new(256, 16).with_decode_batch(8),
+            ))
+            .space(SearchSpace::default().with_pipeline(PipelineAxes {
+                stages: vec![1, 8],
+                microbatches: vec![8],
+                schedules: vec![PipelineSchedule::GPipe],
+            }));
+        let request = RequestSpec {
+            arrival: 16370.0,
+            prompt_len: 256,
+            decode_len: 16,
+        };
+        let spec = LoadSpec::trace(vec![request; 8]);
+        let r = explorer.explore_load(&LoadAxes::new(spec, [])).unwrap();
+        assert_eq!(r.candidates.len(), 2);
+        let flat = &r.candidates[0];
+        assert!(flat.plan.pipeline.is_none());
+        assert!(
+            matches!(&flat.error, Some(EngineError::InvalidLoad { reason }) if reason.contains("2^52")),
+            "{:?}",
+            flat.error
+        );
+        assert!(flat.points.is_empty() && flat.best_point.is_none());
+        assert_eq!(r.best_candidate, 1);
+        assert!(r.best().error.is_none());
+        assert_eq!(r.evaluated, 1);
     }
 
     #[test]

@@ -25,6 +25,12 @@ pub enum EngineError {
     /// strategy/class combination, an unmappable pipeline, or a pipelined
     /// plan handed to the flat engine.
     InvalidPlan(PlanError),
+    /// The workload cannot be simulated meaningfully: a serve workload
+    /// with an explicit zero-token prompt or zero-sequence decode batch.
+    InvalidWorkload {
+        /// What went wrong.
+        reason: String,
+    },
     /// A continuous-batching load run cannot be set up or executed: an
     /// invalid [`madmax_parallel::LoadSpec`], a non-serve workload, or a
     /// run leaving the exact duration grid.
@@ -65,6 +71,9 @@ impl EngineError {
                 PlanError::OutOfMemory { required, usable }
             }
             EngineError::InvalidPlan(e) => e,
+            EngineError::InvalidWorkload { reason } => PlanError::InvalidPipeline {
+                reason: format!("workload: {reason}"),
+            },
             EngineError::InvalidLoad { reason } => PlanError::InvalidPipeline {
                 reason: format!("load: {reason}"),
             },
@@ -122,6 +131,7 @@ impl std::fmt::Display for EngineError {
                 usable.as_gb()
             ),
             EngineError::InvalidPlan(e) => write!(f, "invalid plan: {e}"),
+            EngineError::InvalidWorkload { reason } => write!(f, "invalid workload: {reason}"),
             EngineError::InvalidLoad { reason } => write!(f, "invalid load: {reason}"),
             EngineError::InvalidFault { reason } => write!(f, "invalid fault spec: {reason}"),
         }
@@ -133,6 +143,7 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::InvalidPlan(e) => Some(e),
             EngineError::OutOfMemory { .. }
+            | EngineError::InvalidWorkload { .. }
             | EngineError::InvalidLoad { .. }
             | EngineError::InvalidFault { .. } => None,
         }

@@ -35,10 +35,14 @@ pub struct GoodputOutcome {
 ///
 /// `Scenario` is the single front door to the MAD-Max performance model.
 /// [`Scenario::run`] inspects the plan's
-/// [`madmax_parallel::PipelineConfig`] and dispatches to the flat SPMD
-/// engine (`madmax_core::run_flat`) or the pipeline engine
-/// (`madmax_pipeline::run_pipelined`), returning the same
-/// [`IterationReport`] either way and one [`EngineError`] on failure.
+/// [`madmax_parallel::PipelineConfig`], prices a single-use cost table of
+/// the matching engine — the flat SPMD engine
+/// (`madmax_core::run_flat_cached`) or the pipeline engine
+/// (`madmax_pipeline::run_pipelined_cached`) — and evaluates the plan
+/// through it, returning the same [`IterationReport`] either way and one
+/// [`EngineError`] on failure. Searches attach shared tables instead
+/// ([`Scenario::costs`], [`Scenario::pipeline_costs`]) and evaluate with
+/// [`Scenario::run_in`]; the reports are identical.
 ///
 /// The workload axis spans training and serving:
 /// [`Workload::pretrain`], [`Workload::finetune`], and
@@ -115,11 +119,13 @@ impl<'a> Scenario<'a> {
     /// Enables or disables the closed-form steady-state decode path
     /// (`madmax_core::steady`) on every cost table this scenario *builds*
     /// ([`Scenario::price_plans`], [`Scenario::price_pipeline_plans`], and
-    /// the inline table of [`Scenario::run_in`]). On by default; the
-    /// closed form is byte-identical to full simulation, so this knob
-    /// exists for A/B validation and as an escape hatch. Tables attached
+    /// the single-use table of [`Scenario::run`] / [`Scenario::run_in`]).
+    /// On by default; the closed form is byte-identical to full
+    /// simulation, so this knob exists for A/B validation (`false` is the
+    /// full-simulation reference) and as an escape hatch. Tables attached
     /// via [`Scenario::costs`] / [`Scenario::pipeline_costs`] keep their
-    /// own setting.
+    /// own setting, and [`Scenario::run_with_trace`] always simulates in
+    /// full.
     #[must_use]
     pub fn analytic_serve(mut self, on: bool) -> Self {
         self.analytic_serve = on;
@@ -278,59 +284,65 @@ impl<'a> Scenario<'a> {
     }
 
     /// Runs the scenario through caller-owned buffers — the evaluation
-    /// fast path. Flat plans with an attached [`CostTable`]
-    /// (see [`Scenario::costs`]) are assembled from cached costs; all
-    /// paths recycle `scratch`'s trace arena, schedule, and stream table.
-    /// The report is byte-identical to [`Scenario::run`].
+    /// fast path. Plans with an attached cost table of their engine
+    /// ([`Scenario::costs`] / [`Scenario::pipeline_costs`]) are assembled
+    /// from its cached costs; any other plan prices a single-use table
+    /// (`madmax_pipeline::run_single_use`). Every path recycles
+    /// `scratch`'s trace arena, schedule, and stream table.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Scenario::run`].
     pub fn run_in(&self, scratch: &mut EngineScratch) -> Result<IterationReport, EngineError> {
+        self.check_serve_shape()?;
         self.with_plan(|plan| {
-            if Self::is_pipelined(plan) {
-                if let Some(table) = self.pipeline_costs {
+            let report = match (Self::is_pipelined(plan), self.costs, self.pipeline_costs) {
+                (true, _, Some(table)) => {
                     debug_assert!(
                         std::ptr::eq(table.model(), self.model)
                             && std::ptr::eq(table.cluster(), self.system)
                             && table.workload() == self.workload.as_ref(),
                         "pipeline cost table priced for a different scenario"
                     );
-                    return madmax_pipeline::run_pipelined_cached(table, plan, scratch)
-                        .map_err(EngineError::from);
+                    madmax_pipeline::run_pipelined_cached(table, plan, scratch)
                 }
-                return madmax_pipeline::run_pipelined_scratch(
+                (false, Some(table), _) => {
+                    debug_assert!(
+                        std::ptr::eq(table.model(), self.model)
+                            && std::ptr::eq(table.cluster(), self.system)
+                            && table.workload() == self.workload.as_ref(),
+                        "cost table priced for a different scenario"
+                    );
+                    madmax_core::run_flat_cached(table, plan, scratch)
+                }
+                _ => madmax_pipeline::run_single_use(
                     self.model,
                     self.system,
                     plan,
-                    &self.workload,
+                    self.workload.as_ref().clone(),
                     self.collectives,
                     self.utilization,
+                    self.analytic_serve,
                     scratch,
-                )
-                .map_err(EngineError::from);
-            }
-            if let Some(table) = self.costs {
-                debug_assert!(
-                    std::ptr::eq(table.model(), self.model)
-                        && std::ptr::eq(table.cluster(), self.system)
-                        && table.workload() == self.workload.as_ref(),
-                    "cost table priced for a different scenario"
-                );
-                return madmax_core::run_flat_cached(table, plan, scratch)
-                    .map_err(EngineError::from);
-            }
-            let mut table = CostTable::new(
-                self.model,
-                self.system,
-                self.workload.as_ref().clone(),
-                plan.options,
-                self.collectives,
-                self.utilization,
-            );
-            table.set_analytic_serve(self.analytic_serve);
-            table.ensure_plan(plan);
-            madmax_core::run_flat_cached(&table, plan, scratch).map_err(EngineError::from)
+                ),
+            };
+            report.map_err(EngineError::from)
+        })
+    }
+
+    /// Rejects serve workloads that would simulate into nonsense: an
+    /// explicit zero-token prompt or zero-sequence serving batch.
+    fn check_serve_shape(&self) -> Result<(), EngineError> {
+        let Some(serve) = self.workload.serve_config() else {
+            return Ok(());
+        };
+        let reason = match (serve.prompt_len, serve.decode_batch) {
+            (Some(0), _) => "a serve prompt needs at least 1 token",
+            (_, Some(0)) => "a serve decode batch needs at least 1 sequence",
+            _ => return Ok(()),
+        };
+        Err(EngineError::InvalidWorkload {
+            reason: reason.to_owned(),
         })
     }
 
@@ -339,42 +351,34 @@ impl<'a> Scenario<'a> {
     /// # Errors
     ///
     /// [`EngineError::OutOfMemory`] when the mapping does not fit in
-    /// device memory, [`EngineError::InvalidPlan`] for everything else
-    /// (invalid strategy/class combinations, unmappable pipelines, ...).
+    /// device memory, [`EngineError::InvalidWorkload`] for a serve
+    /// workload with a zero prompt or decode batch,
+    /// [`EngineError::InvalidPlan`] for everything else (invalid
+    /// strategy/class combinations, unmappable pipelines, ...).
     pub fn run(&self) -> Result<IterationReport, EngineError> {
-        let (report, _, _) = self.run_with_trace()?;
-        Ok(report)
+        self.run_in(&mut EngineScratch::new())
     }
 
     /// Runs the scenario, also returning the trace and schedule for
-    /// timeline rendering.
+    /// timeline rendering. Attached cost tables are ignored and the
+    /// closed-form decode is off, so the full trace is assembled; the
+    /// report is the one [`Scenario::run`] returns.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Scenario::run`].
     pub fn run_with_trace(&self) -> Result<(IterationReport, Trace, Schedule), EngineError> {
-        self.with_plan(|plan| {
-            let result = if Self::is_pipelined(plan) {
-                madmax_pipeline::run_pipelined(
-                    self.model,
-                    self.system,
-                    plan,
-                    &self.workload,
-                    self.collectives,
-                    self.utilization,
-                )
-            } else {
-                madmax_core::run_flat(
-                    self.model,
-                    self.system,
-                    plan,
-                    &self.workload,
-                    self.collectives,
-                    self.utilization,
-                )
-            };
-            result.map_err(EngineError::from)
-        })
+        let full = Scenario {
+            plan: self.plan.as_deref().map(Cow::Borrowed),
+            workload: Cow::Borrowed(self.workload.as_ref()),
+            costs: None,
+            pipeline_costs: None,
+            analytic_serve: false,
+            ..*self
+        };
+        let mut scratch = EngineScratch::new();
+        let report = full.run_in(&mut scratch)?;
+        Ok((report, scratch.trace, scratch.sched))
     }
 
     /// The serve config this scenario's workload carries, or the
@@ -398,9 +402,11 @@ impl<'a> Scenario<'a> {
     /// # Errors
     ///
     /// [`EngineError::InvalidLoad`] for invalid specs or a non-serve
-    /// workload; probe failures as in [`Scenario::run`].
+    /// workload, [`EngineError::InvalidWorkload`] for a zero prompt or
+    /// decode batch; probe failures as in [`Scenario::run`].
     pub fn price_load(&self, spec: &LoadSpec) -> Result<StepCostModel, EngineError> {
         let serve = self.load_serve_config()?;
+        self.check_serve_shape()?;
         spec.validate()
             .map_err(|reason| EngineError::InvalidLoad { reason })?;
         let arrivals = madmax_serve::materialize_arrivals(&spec.arrivals, serve, self.model)?;
@@ -533,39 +539,6 @@ impl<'a> Scenario<'a> {
             goodput,
         })
     }
-
-    /// Builds the scenario's trace without scheduling it (for inspection /
-    /// Fig. 6 timelines). For pipelined plans this is the multi-stream
-    /// stage trace.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Scenario::run`].
-    pub fn build_trace(&self) -> Result<Trace, EngineError> {
-        self.with_plan(|plan| {
-            if Self::is_pipelined(plan) {
-                madmax_pipeline::build_pipelined_trace(
-                    self.model,
-                    self.system,
-                    plan,
-                    &self.workload,
-                    self.collectives,
-                    self.utilization,
-                )
-                .map_err(EngineError::from)
-            } else {
-                madmax_core::build_flat_trace(
-                    self.model,
-                    self.system,
-                    plan,
-                    &self.workload,
-                    self.collectives,
-                    self.utilization,
-                )
-                .map_err(EngineError::from)
-            }
-        })
-    }
 }
 
 /// One-shot convenience wrapper: runs a [`Scenario`] with an explicit
@@ -665,8 +638,6 @@ mod tests {
         let (report, trace, sched) = scenario.run_with_trace().unwrap();
         assert_eq!(trace.len(), sched.windows.len());
         assert!((trace.serialized_time() / report.serialized_time - 1.0).abs() < 1e-12);
-        let inspect = scenario.build_trace().unwrap();
-        assert_eq!(trace, inspect);
     }
 
     #[test]
@@ -728,6 +699,46 @@ mod tests {
             .serve_load_priced(&spec, &costs, SimMode::PerToken, None)
             .unwrap();
         assert_eq!(naive.report, out.report);
+    }
+
+    #[test]
+    fn degenerate_serve_inputs_are_rejected_at_the_front_door() {
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let spec = madmax_parallel::LoadSpec::poisson(1.0, 4, 1);
+        for (cfg, what) in [
+            (
+                ServeConfig::new(256, 8).with_decode_batch(0),
+                "decode batch",
+            ),
+            (ServeConfig::new(0, 8), "prompt"),
+        ] {
+            let plans = [
+                Plan::fsdp_baseline(&model),
+                Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(8, 8)),
+            ];
+            for plan in plans {
+                let scenario = Scenario::new(&model, &sys)
+                    .workload(Workload::serve(cfg))
+                    .plan(plan);
+                let table = scenario.price_plans(&[scenario.effective_plan()]);
+                let errors = [
+                    scenario.run().unwrap_err(),
+                    scenario.run_with_trace().unwrap_err(),
+                    scenario.price_load(&spec).unwrap_err(),
+                    scenario
+                        .costs(&table)
+                        .run_in(&mut EngineScratch::new())
+                        .unwrap_err(),
+                ];
+                for err in errors {
+                    assert!(
+                        matches!(&err, EngineError::InvalidWorkload { reason } if reason.contains(what)),
+                        "{err}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

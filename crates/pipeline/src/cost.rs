@@ -190,7 +190,7 @@ pub fn microbatch_bounds(model: &ModelArch, microbatches: usize) -> Result<(), P
 ///
 /// Returns [`PlanError::InvalidPipeline`] for indivisible device counts or
 /// a microbatch count exceeding the global batch.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by sim + benches
+#[allow(clippy::too_many_arguments)] // the fresh-pricing reference the cost table is tested against
 pub fn stage_costs(
     model: &ModelArch,
     cluster: &ClusterSpec,
@@ -234,7 +234,7 @@ pub fn stage_models(model: &ModelArch, stages: &[Stage]) -> Vec<ModelArch> {
 /// # Errors
 ///
 /// Same conditions as [`stage_costs`].
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by sim + the cost table
+#[allow(clippy::too_many_arguments)] // internal plumbing of the cost table
 pub fn stage_costs_in(
     model: &ModelArch,
     cluster: &ClusterSpec,

@@ -10,9 +10,11 @@
 //! and PipeDream-Flush).
 //!
 //! The flat SPMD engine in `madmax-core` rejects pipelined plans;
-//! [`run_pipelined`] is the pipeline-aware engine, and the unified
-//! `madmax_engine::Scenario` front door dispatches between the two based
-//! on the plan's `PipelineConfig`.
+//! [`run_pipelined_cached`] is the pipeline-aware engine. This crate, the
+//! lowest that sees both engines, also holds their one-shot dispatcher:
+//! [`run_single_use`] prices a single-use flat or pipeline cost table for
+//! one plan, chosen by the plan's `PipelineConfig`, and evaluates it. The
+//! unified `madmax_engine::Scenario` front door runs through it.
 //!
 //! Serve workloads (`madmax_parallel::Workload::serve`) pipeline the
 //! decode stream itself — each decode step is one microbatch unit flowing
@@ -68,12 +70,12 @@
 //! is `Sync`) across the worker pool. A table is priced for one
 //! `(model, cluster, workload)` combination and one set of
 //! pricing-relevant plan options (asserted), and produces reports
-//! byte-identical to the one-shot [`run_pipelined`] path — error shapes
-//! included.
+//! byte-identical to a single-use table's — error shapes included.
 //!
 //! # Example
 //!
 //! ```
+//! use madmax_core::{EngineScratch, HierarchicalNccl, UtilizationModel};
 //! use madmax_hw::catalog;
 //! use madmax_model::ModelId;
 //! use madmax_parallel::{PipelineConfig, Plan, Workload};
@@ -81,9 +83,17 @@
 //! let model = ModelId::Llama2.build();
 //! let system = catalog::llama_llm_system();
 //! let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::one_f_one_b(8, 32));
-//! let report =
-//!     madmax_pipeline::run_pipelined_default(&model, &system, &plan, &Workload::pretrain())
-//!         .unwrap();
+//! let report = madmax_pipeline::run_single_use(
+//!     &model,
+//!     &system,
+//!     &plan,
+//!     Workload::pretrain(),
+//!     &HierarchicalNccl,
+//!     UtilizationModel::Constant,
+//!     true,
+//!     &mut EngineScratch::new(),
+//! )
+//! .unwrap();
 //! let bubble = report.bubble_fraction.unwrap();
 //! assert!(bubble > 0.0 && bubble < 0.5, "{bubble}");
 //! ```
@@ -102,10 +112,7 @@ pub use cost::{stage_cluster, stage_costs, stage_costs_in, stage_models, StageCo
 pub use memory::{fold_pipeline_memory, pipeline_memory, stage_memory};
 pub use partition::{partition_model, Stage, StageUnit};
 pub use schedule::{build_pipeline_trace, build_pipeline_trace_into, build_serve_trace_into};
-pub use sim::{
-    build_pipelined_trace, run_pipelined, run_pipelined_cached, run_pipelined_default,
-    run_pipelined_scratch,
-};
+pub use sim::{run_pipelined_cached, run_single_use};
 pub use table::{PipelineCostTable, PricedPipelineRef};
 
 /// The analytic GPipe bubble fraction for `p` uniform stages and `m`

@@ -39,8 +39,9 @@
 //! across worker threads (it is `Sync`). Assembling a plan whose depth,
 //! assignment, or microbatch count was never priced panics; error-shaped
 //! candidates (invalid strategies, unmappable depths, OOM folds, bad
-//! microbatch counts) are *not* priced and instead reproduce
-//! `price_pipelined`'s exact error at evaluation time.
+//! microbatch counts) are *not* priced and instead get their error from
+//! [`PipelineCostTable::priced_for`] at evaluation time. A one-shot run
+//! is the same path over a single-use table ([`crate::run_single_use`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -433,9 +434,8 @@ impl<'a> PipelineCostTable<'a> {
         };
         let ae = &mut entry.assignments[ai].1;
 
-        // Mirror the uncached path's work exactly: candidates that fail
-        // the memory fold or the microbatch bounds are never priced there
-        // either (they error out first).
+        // Candidates that fail the memory fold or the microbatch bounds
+        // are never priced: `priced_for` returns their error first.
         if fold_pipeline_memory(
             &ae.per_stage_memory,
             cfg.microbatches,
@@ -528,14 +528,15 @@ impl<'a> PipelineCostTable<'a> {
     }
 
     /// Resolves one candidate against the table: borrowed priced stages
-    /// plus the candidate's memory fold — or exactly the error
-    /// `price_pipelined` would produce, in exactly its order (invalid
-    /// strategies, then unmappable partition/sub-cluster, then the memory
-    /// fold incl. OOM, then microbatch bounds per phase).
+    /// plus the candidate's memory fold — or the pipeline engine's error,
+    /// checked in this order: no active pipeline config, invalid
+    /// strategies, unmappable partition/sub-cluster, the memory fold
+    /// (incl. OOM), then microbatch bounds per phase.
     ///
     /// # Errors
     ///
-    /// Same conditions as `run_pipelined`.
+    /// [`PlanError::InvalidPipeline`], [`PlanError::InvalidStrategy`], or
+    /// [`PlanError::OutOfMemory`], in the order above.
     ///
     /// # Panics
     ///

@@ -26,11 +26,10 @@
 use madmax_core::collective::CollectiveModel;
 use madmax_core::compute::UtilizationModel;
 use madmax_core::steady::grid_units;
-use madmax_core::{CostTable, EngineScratch, IterationReport};
+use madmax_core::EngineScratch;
 use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
-use madmax_parallel::{Plan, PlanError, ServeConfig, Workload};
-use madmax_pipeline::PipelineCostTable;
+use madmax_parallel::{Plan, ServeConfig, Workload};
 
 use crate::arrival::ArrivalEvent;
 use crate::LoadError;
@@ -78,45 +77,6 @@ fn div_round(a: i64, b: i64) -> i64 {
         q + 1
     } else {
         q
-    }
-}
-
-/// Runs one probe scenario through the matching engine and returns its
-/// report.
-fn probe(
-    model: &ModelArch,
-    system: &ClusterSpec,
-    plan: &Plan,
-    cfg: ServeConfig,
-    collectives: &dyn CollectiveModel,
-    utilization: UtilizationModel,
-    scratch: &mut EngineScratch,
-) -> Result<IterationReport, PlanError> {
-    let workload = Workload::serve(cfg);
-    if plan.pipeline.is_some_and(|c| c.is_pipelined()) {
-        let mut table = PipelineCostTable::new(
-            model,
-            system,
-            workload,
-            plan.options,
-            collectives,
-            utilization,
-        );
-        table.set_analytic_serve(true);
-        table.ensure_plan(plan);
-        madmax_pipeline::run_pipelined_cached(&table, plan, scratch)
-    } else {
-        let mut table = CostTable::new(
-            model,
-            system,
-            workload,
-            plan.options,
-            collectives,
-            utilization,
-        );
-        table.set_analytic_serve(true);
-        table.ensure_plan(plan);
-        madmax_core::run_flat_cached(&table, plan, scratch)
     }
 }
 
@@ -177,14 +137,16 @@ impl StepCostModel {
             kv_cache: serve.kv_cache,
         };
         let mut scratch = EngineScratch::new();
+        // Each probe is one analytic evaluation through a single-use table.
         let mut run = |prompt: usize, decode: usize, batch: usize| {
-            probe(
+            madmax_pipeline::run_single_use(
                 model,
                 system,
                 plan,
-                cfg(prompt, decode, batch),
+                Workload::serve(cfg(prompt, decode, batch)),
                 collectives,
                 utilization,
+                true,
                 &mut scratch,
             )
             .map_err(LoadError::from)
@@ -357,13 +319,14 @@ mod tests {
         // first difference at an unprobed decode length.
         let mut scratch = EngineScratch::new();
         let run = |d: usize, scratch: &mut EngineScratch| {
-            probe(
+            madmax_pipeline::run_single_use(
                 &model,
                 &sys,
                 &plan,
-                ServeConfig::new(256, d).with_decode_batch(slots),
+                Workload::serve(ServeConfig::new(256, d).with_decode_batch(slots)),
                 &HierarchicalNccl,
                 UtilizationModel::Constant,
+                true,
                 scratch,
             )
             .unwrap()

@@ -199,3 +199,39 @@ fn moe_expert_parallelism_creates_blocking_a2a() {
     let exposed_a2a = r.exposed_by_collective[&madmax_parallel::CollectiveKind::AllToAll];
     assert!(exposed_a2a.as_secs() > 0.0);
 }
+
+/// Runs the `madmax` CLI binary with `args`.
+fn madmax(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_madmax"))
+        .args(args)
+        .output()
+        .expect("madmax binary runs")
+}
+
+#[test]
+fn cli_help_prints_usage_and_succeeds() {
+    for flag in ["--help", "-h", "help"] {
+        let out = madmax(&[flag]);
+        assert!(out.status.success(), "{flag}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with("usage: madmax"), "{stdout}");
+    }
+}
+
+#[test]
+fn cli_rejects_degenerate_serve_inputs() {
+    let serve = [
+        "simulate", "--model", "llama2", "--system", "llama", "--task", "serve",
+    ];
+    for extra in [
+        &["--decode-batch", "0"][..],
+        &["--prompt", "0", "--decode", "8"],
+    ] {
+        let args: Vec<&str> = serve.iter().chain(extra).copied().collect();
+        let out = madmax(&args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("invalid workload"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+}

@@ -8,19 +8,26 @@
 //! `tests/insights.rs` (expected values predating every refactor, still
 //! passing unchanged) plus the legacy-inference shape pin below.
 //!
-//! This file pins the evaluation fast paths the same way, one layer down:
+//! This file pins the evaluation paths the same way, one layer down.
+//! Every run evaluates through a cost table — a one-shot
+//! `Scenario::run` prices a single-use table, a search shares one across
+//! its candidates — so the pins here compare *sharing* against fresh
+//! single-use runs, and the closed-form decode against full simulation
+//! (`Scenario::analytic_serve(false)`). Byte-identity of every figure
+//! output is pinned separately by `tests/figure_digests.rs`.
 //!
 //! - the prefill-only serve workload ([`Workload::inference`]) is
 //!   byte-for-byte the explicit prompt/batch serve configuration — the
 //!   engine shape the removed `Task::Inference` mapped onto, so every
 //!   historical inference figure is unchanged;
-//! - the allocation-free cached paths — the flat `CostTable` *and* the
-//!   pipeline `PipelineCostTable` — reproduce `Scenario::run` exactly
-//!   (success and error shapes), across the model zoo, both pipeline
-//!   schedules, training and serve workloads, with one shared scratch;
+//! - evaluation through attached tables — the flat `CostTable` *and* the
+//!   pipeline `PipelineCostTable` — with one scratch recycled across the
+//!   model zoo reproduces fresh full simulations exactly (success and
+//!   error shapes), across both pipeline schedules, training and serve
+//!   workloads;
 //! - a shared `PipelineCostTable` reused across randomized
 //!   `(microbatches, schedule, decode batch)` candidates matches fresh
-//!   pricing (property test);
+//!   single-use runs (property test);
 //! - the parallel explorer returns the identical winner at any thread
 //!   count.
 
@@ -257,13 +264,12 @@ fn progress_sink_preserves_thread_count_determinism() {
 
 #[test]
 fn cached_fast_path_is_byte_identical_across_the_zoo() {
-    // The allocation-free evaluation paths (shared CostTable /
-    // PipelineCostTable + recycled EngineScratch) must reproduce
-    // `Scenario::run`'s reports bit for bit — success AND error shapes —
-    // for flat and pipelined plans, training and serve workloads. One
-    // scratch is reused across every model and plan, so any state leaking
-    // between candidates through the arena or the pipeline memo would
-    // show up here.
+    // Evaluation through attached tables with a recycled EngineScratch
+    // must reproduce a fresh full simulation's reports bit for bit —
+    // success AND error shapes — for flat and pipelined plans, training
+    // and serve workloads. One scratch is reused across every model and
+    // plan, so any state leaking between candidates through the arena or
+    // the pipeline memo would show up here.
     let mut scratch = EngineScratch::new();
     for id in ModelId::ALL {
         let model = id.build();
@@ -297,8 +303,8 @@ fn cached_fast_path_is_byte_identical_across_the_zoo() {
             Workload::serve(ServeConfig::new(256, 8)),
             // Long enough decode for the closed-form steady-state path:
             // the cached run takes it (tables default analytic-on) while
-            // `Scenario::run` always simulates in full, so this pins the
-            // analytic reports byte-for-byte across the zoo.
+            // the reference opts out and simulates in full, so this pins
+            // the analytic reports byte-for-byte across the zoo.
             Workload::serve(ServeConfig::new(256, 48)),
         ] {
             for plan in &plans {
@@ -314,6 +320,7 @@ fn cached_fast_path_is_byte_identical_across_the_zoo() {
                 let uncached = Scenario::new(&model, &sys)
                     .workload_ref(&workload)
                     .plan_ref(plan)
+                    .analytic_serve(false)
                     .run();
                 match (cached, uncached) {
                     (Ok(c), Ok(u)) => {
@@ -576,7 +583,7 @@ fn op_names_render_todays_exact_strings() {
     // decode names.
     let dlrm = ModelId::DlrmA.build();
     let dlrm_sys = catalog::zionex_dlrm_system();
-    let trace = Scenario::new(&dlrm, &dlrm_sys).build_trace().unwrap();
+    let (_, trace, _) = Scenario::new(&dlrm, &dlrm_sys).run_with_trace().unwrap();
     let names: Vec<String> = trace.ops().iter().map(|o| o.name.to_string()).collect();
     for expected in [
         "fwd.embedding_tables.lookup",
@@ -593,7 +600,7 @@ fn op_names_render_todays_exact_strings() {
 
     let llm = ModelId::Gpt3.build();
     let llm_sys = catalog::llama_llm_system();
-    let trace = Scenario::new(&llm, &llm_sys).build_trace().unwrap();
+    let (_, trace, _) = Scenario::new(&llm, &llm_sys).run_with_trace().unwrap();
     let names: Vec<String> = trace.ops().iter().map(|o| o.name.to_string()).collect();
     for expected in [
         "fwd[0].transformer_blocks",
@@ -606,8 +613,9 @@ fn op_names_render_todays_exact_strings() {
     let plan = Plan::fsdp_baseline(&llm).with_pipeline(PipelineConfig::gpipe(8, 16));
     let trace = Scenario::new(&llm, &llm_sys)
         .plan(plan.clone())
-        .build_trace()
-        .unwrap();
+        .run_with_trace()
+        .unwrap()
+        .1;
     let names: Vec<String> = trace.ops().iter().map(|o| o.name.to_string()).collect();
     for expected in [
         "stage0.param.AllGather",
@@ -625,8 +633,9 @@ fn op_names_render_todays_exact_strings() {
     let serve = Workload::serve(ServeConfig::new(512, 2));
     let trace = Scenario::new(&llm, &llm_sys)
         .workload(serve.clone())
-        .build_trace()
-        .unwrap();
+        .run_with_trace()
+        .unwrap()
+        .1;
     let names: Vec<String> = trace.ops().iter().map(|o| o.name.to_string()).collect();
     for expected in [
         "dec[0].word_embedding.lookup",
@@ -638,8 +647,9 @@ fn op_names_render_todays_exact_strings() {
     let trace = Scenario::new(&llm, &llm_sys)
         .workload(serve)
         .plan(plan)
-        .build_trace()
-        .unwrap();
+        .run_with_trace()
+        .unwrap()
+        .1;
     let names: Vec<String> = trace.ops().iter().map(|o| o.name.to_string()).collect();
     for expected in ["stage0.dec[0]", "stage7.dec[31]", "stage0.send_tok[31]"] {
         assert!(names.iter().any(|n| n == expected), "missing {expected}");
@@ -674,7 +684,7 @@ fn unified_error_reports_one_shape_for_both_engines() {
 proptest! {
     /// One shared `PipelineCostTable` reused across randomized
     /// `(microbatches, schedule, decode batch)` candidates matches fresh
-    /// (uncached) pricing bit for bit — through one recycled scratch, so
+    /// single-use runs bit for bit — through one recycled scratch, so
     /// the memo can never serve a stale report.
     #[test]
     fn shared_pipeline_table_matches_fresh_pricing(

@@ -47,15 +47,17 @@ proptest! {
         // Flat engine.
         let flat = Scenario::new(&model, &sys)
             .workload(workload.clone())
-            .build_trace()
-            .unwrap();
+            .run_with_trace()
+            .unwrap()
+            .1;
         // Pipelined engine (decode step as the microbatch unit).
         let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(4, 4));
         let piped = Scenario::new(&model, &sys)
             .workload(workload)
             .plan(plan)
-            .build_trace()
-            .unwrap();
+            .run_with_trace()
+            .unwrap()
+            .1;
         for trace in [&flat, &piped] {
             for op in trace.ops() {
                 prop_assert!(
@@ -140,8 +142,9 @@ proptest! {
         // 1-token pass; the prefill covers the whole prompt).
         let trace = Scenario::new(&model, &sys)
             .workload(workload)
-            .build_trace()
-            .unwrap();
+            .run_with_trace()
+            .unwrap()
+            .1;
         let prefill_compute: Seconds = trace
             .ops()
             .iter()
