@@ -391,8 +391,9 @@ fn main() {
             );
         }
 
-        // The SLO-constrained goodput search end-to-end: candidates
-        // priced once, every arrival rate simulated in event mode.
+        // The SLO-constrained load search end-to-end on the worker pool:
+        // each candidate priced once, every arrival rate simulated in
+        // event mode.
         let axes = LoadAxes::new(
             LoadSpec::poisson(0.02, 16, 9).with_kv_blocks(8192),
             [0.02, 0.1, 0.5],
@@ -406,14 +407,15 @@ fn main() {
                 stages: vec![1, 2, 4, 8],
                 microbatches: vec![8],
                 schedules: vec![PipelineSchedule::GPipe],
-            }));
+            }))
+            .threads(threads);
         let outcome = explorer.explore_load(&axes).expect("load search runs");
         record(
             &mut records,
             &baseline,
             format!("serve_load_search/{}", ModelId::Llama2),
             outcome.evaluated,
-            1,
+            threads,
             reps,
             None,
             || {

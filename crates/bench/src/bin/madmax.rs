@@ -129,6 +129,48 @@ fn systems() -> BTreeMap<&'static str, fn() -> ClusterSpec> {
 /// Flags that take no value (presence alone means `true`).
 const BOOL_FLAGS: &[&str] = &["verify", "eviction"];
 
+/// Every flag that takes a value; any other `--flag` is an error.
+const VALUE_FLAGS: &[&str] = &[
+    "arrival-count",
+    "arrival-rate",
+    "arrival-seed",
+    "arrival-trace",
+    "burst-off",
+    "burst-on",
+    "checkpoint-interval",
+    "config-dir",
+    "decode",
+    "decode-batch",
+    "dense",
+    "embedding",
+    "emit-trace",
+    "fault-horizon",
+    "fault-seed",
+    "horizon",
+    "kv",
+    "kv-blocks",
+    "model",
+    "moe",
+    "mtbf",
+    "only",
+    "out",
+    "progress",
+    "prompt",
+    "queue-cap",
+    "recovery",
+    "retry",
+    "retry-backoff",
+    "retry-timeout",
+    "slo-ttft-p99",
+    "slots-lost",
+    "system",
+    "task",
+    "telemetry",
+    "threads",
+    "transformer",
+    "unconstrained",
+];
+
 struct Args {
     flags: BTreeMap<String, String>,
 }
@@ -144,6 +186,9 @@ impl Args {
             if BOOL_FLAGS.contains(&key) {
                 flags.insert(key.to_owned(), "true".to_owned());
                 continue;
+            }
+            if !VALUE_FLAGS.contains(&key) {
+                return Err(format!("unknown flag --{key}"));
             }
             let value = it
                 .next()

@@ -7,11 +7,10 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 use madmax_core::IterationReport;
-use madmax_engine::{EngineError, Scenario};
+use madmax_engine::{EngineError, EngineScratch, Scenario};
 use madmax_hw::ClusterSpec;
 use madmax_model::{LayerClass, ModelArch};
 use madmax_obs::{
@@ -23,8 +22,25 @@ use madmax_parallel::{HierStrategy, PipelineConfig, PipelineSchedule, Plan, Work
 /// Fallback sink when no [`ProgressSink`] is attached.
 static NULL_SINK: NullSink = NullSink;
 
+/// What a search's per-candidate evaluation tells progress events: the
+/// simulated iteration time, when it has one.
+pub(crate) trait IterationTime: Send {
+    /// Simulated iteration time in milliseconds.
+    fn iteration_ms(&self) -> Option<f64>;
+}
+
+impl IterationTime for IterationReport {
+    fn iteration_ms(&self) -> Option<f64> {
+        Some(self.iteration_time.as_ms())
+    }
+}
+
+/// One candidate of a pipeline run: its workload variant, its plan, and
+/// what evaluating it gave.
+pub(crate) type Evaluation<'b, X> = (&'b Workload, &'b Plan, Result<X, EngineError>);
+
 /// Classifies one evaluation result for telemetry and progress events.
-fn classify(result: &Result<IterationReport, EngineError>) -> CandidateOutcome {
+fn classify<X>(result: &Result<X, EngineError>) -> CandidateOutcome {
     match result {
         Ok(_) => CandidateOutcome::Ok,
         Err(e) if e.is_oom() => CandidateOutcome::OutOfMemory,
@@ -334,11 +350,14 @@ impl<'a> Explorer<'a> {
         self
     }
 
-    /// Attaches a [`ProgressSink`] receiving one
-    /// [`CandidateEvent`] per evaluated candidate, live from whichever
-    /// worker completes it, plus a summary per evaluation batch. The sink
-    /// observes the search; it cannot change its outcome — reports are
-    /// byte-identical with and without one attached.
+    /// Attaches a [`ProgressSink`] receiving one [`CandidateEvent`] per
+    /// evaluated candidate, live from whichever worker completes it, and
+    /// the search's [`SearchTelemetry`] once it finishes. Applies to all
+    /// three searches ([`Explorer::explore`], [`Explorer::explore_load`],
+    /// [`Explorer::explore_goodput`]) and to
+    /// [`Explorer::evaluate_with_telemetry`]. The sink observes the
+    /// search; it cannot change its outcome — results are byte-identical
+    /// with and without one attached.
     #[must_use]
     pub fn progress(mut self, sink: &'a dyn ProgressSink) -> Self {
         self.progress = Some(sink);
@@ -361,9 +380,12 @@ impl<'a> Explorer<'a> {
 
     /// Caps the worker pool at `n` threads (`1` forces a sequential run;
     /// `0` is treated as `1`). The default is
-    /// [`std::thread::available_parallelism`]. Results are deterministic
-    /// regardless of the thread count: candidates are reduced in
-    /// enumeration order after evaluation.
+    /// [`std::thread::available_parallelism`]. All three searches
+    /// ([`Explorer::explore`], [`Explorer::explore_load`],
+    /// [`Explorer::explore_goodput`]) and the `evaluate*` methods run on
+    /// this pool. Results are deterministic regardless of the thread
+    /// count: candidates are reduced in enumeration order after
+    /// evaluation.
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(NonZeroUsize::new(n.max(1)).expect("max(1) is non-zero"));
@@ -385,29 +407,21 @@ impl<'a> Explorer<'a> {
         plan
     }
 
-    /// The model this explorer searches over (for the load search).
-    pub(crate) fn model_arch(&self) -> &'a ModelArch {
-        self.model
-    }
-
-    /// The system this explorer searches over (for the load search).
-    pub(crate) fn cluster(&self) -> &'a ClusterSpec {
-        self.system
-    }
-
-    /// The configured workload (for the load search).
-    pub(crate) fn base_workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    /// The configured space (for the load search).
-    pub(crate) fn search_space(&self) -> &SearchSpace {
-        &self.space
-    }
-
     /// The workload variants the serve axes induce (the configured
     /// workload alone when no axis applies).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the space carries [`ServeAxes`] but the workload is
+    /// not [`Workload::Serve`] — the axis would otherwise be silently
+    /// ignored.
     pub(crate) fn workload_variants(&self) -> Vec<Workload> {
+        assert!(
+            self.space.serve.is_none() || self.workload.serve_config().is_some(),
+            "SearchSpace has serve axes but the explorer's workload is `{}`; \
+             set Explorer::workload(Workload::serve(..))",
+            self.workload
+        );
         match (&self.space.serve, self.workload.serve_config()) {
             (Some(axes), Some(cfg)) if !axes.decode_batch.is_empty() => axes
                 .decode_batch
@@ -490,117 +504,93 @@ impl<'a> Explorer<'a> {
         workload: &Workload,
         plans: &[Plan],
     ) -> (Vec<Result<IterationReport, EngineError>>, SearchTelemetry) {
+        let (evaluated, telemetry) =
+            self.run_pipeline(&[(workload, plans)], true, |s, scratch| s.run_in(scratch));
+        let results = evaluated.into_iter().map(|(_, _, r)| r).collect();
+        (results, telemetry)
+    }
+
+    /// The candidate pipeline behind every search: evaluates each batch's
+    /// plans against its workload variant with `eval` on the worker pool
+    /// and returns every `(workload, plan, result)` in batch order, with
+    /// the run's [`SearchTelemetry`] (outcome counters, worker and latency
+    /// stats, and the cost tables' cache snapshots).
+    ///
+    /// With `priced`, each batch prices one [`madmax_engine::CostTable`]
+    /// (plus a [`madmax_engine::PipelineCostTable`] when it holds
+    /// pipelined plans) up front and attaches both to every candidate's
+    /// scenario. Mixed-option batches (e.g. ablating prefetch on/off)
+    /// cannot share a pricing context; they price per plan instead. The
+    /// progress sink sees one event per candidate, indexed across all
+    /// batches, and the telemetry once at the end.
+    pub(crate) fn run_pipeline<'b, X: IterationTime>(
+        &self,
+        batches: &[(&'b Workload, &'b [Plan])],
+        priced: bool,
+        eval: impl Fn(&Scenario<'_>, &mut EngineScratch) -> Result<X, EngineError> + Sync,
+    ) -> (Vec<Evaluation<'b, X>>, SearchTelemetry) {
         let started = Instant::now();
-        let workers = self.worker_count(plans.len());
-        let scenario = Scenario::new(self.model, self.system).workload_ref(workload);
-        // Mixed-option plan lists (e.g. ablating prefetch on/off) cannot
-        // share a pricing context; they fall back to per-plan pricing.
-        let uniform_options = plans.windows(2).all(|w| w[0].options == w[1].options);
-        let table = uniform_options.then(|| scenario.price_plans(plans));
-        let has_pipelined = plans
-            .iter()
-            .any(|p| p.pipeline.is_some_and(|c| c.is_pipelined()));
-        let pipeline_table =
-            (uniform_options && has_pipelined).then(|| scenario.price_pipeline_plans(plans));
         let sink: &dyn ProgressSink = self.progress.unwrap_or(&NULL_SINK);
-        let total = plans.len();
-        let run = |plan: &Plan, scratch: &mut madmax_engine::EngineScratch| {
-            let mut s = Scenario::new(self.model, self.system)
-                .plan_ref(plan)
-                .workload_ref(workload);
-            if let Some(t) = &table {
-                s = s.costs(t);
-            }
-            if let Some(t) = &pipeline_table {
-                s = s.pipeline_costs(t);
-            }
-            s.run_in(scratch)
-        };
-        // Evaluates plan `i`, accounting it worker-locally and firing the
-        // progress event from the evaluating thread.
-        let evaluate_one =
-            |i: usize, scratch: &mut madmax_engine::EngineScratch, local: &mut WorkerLocal| {
+        let total = batches.iter().map(|(_, plans)| plans.len()).sum();
+        let mut evaluated = Vec::with_capacity(total);
+        let mut telemetry = SearchTelemetry::default();
+        for &(workload, plans) in batches {
+            let scenario = Scenario::new(self.model, self.system).workload_ref(workload);
+            let priced = priced && plans.windows(2).all(|w| w[0].options == w[1].options);
+            let table = priced.then(|| scenario.price_plans(plans));
+            let pipeline_table = (priced
+                && plans
+                    .iter()
+                    .any(|p| p.pipeline.is_some_and(|c| c.is_pipelined())))
+            .then(|| scenario.price_pipeline_plans(plans));
+            let offset = evaluated.len();
+            // Evaluates plan `i`, accounting it worker-locally and firing
+            // the progress event from the evaluating thread.
+            let evaluate_one = |i: usize, scratch: &mut EngineScratch, local: &mut WorkerLocal| {
                 let t0 = Instant::now();
-                let result = run(&plans[i], scratch);
+                let mut s = Scenario::new(self.model, self.system)
+                    .plan_ref(&plans[i])
+                    .workload_ref(workload);
+                if let Some(t) = &table {
+                    s = s.costs(t);
+                }
+                if let Some(t) = &pipeline_table {
+                    s = s.pipeline_costs(t);
+                }
+                let result = eval(&s, scratch);
                 let eval_us = t0.elapsed().as_secs_f64() * 1e6;
                 local.stats.candidates += 1;
                 local.stats.busy_ms += eval_us / 1e3;
                 local.latency.record(eval_us);
                 sink.candidate_completed(&CandidateEvent {
-                    index: i,
+                    index: offset + i,
                     total,
                     outcome: classify(&result),
                     eval_us,
-                    iteration_ms: result.as_ref().ok().map(|r| r.iteration_time.as_ms()),
+                    iteration_ms: result.as_ref().ok().and_then(IterationTime::iteration_ms),
                 });
                 result
             };
-
-        let mut telemetry = SearchTelemetry::default();
-        let results: Vec<Result<IterationReport, EngineError>> = if workers <= 1 {
-            let mut scratch = madmax_engine::EngineScratch::new();
-            let mut local = WorkerLocal::default();
-            let results = (0..plans.len())
-                .map(|i| evaluate_one(i, &mut scratch, &mut local))
-                .collect();
-            telemetry.eval_latency = local.latency;
-            telemetry.workers.push(local.stats);
-            results
-        } else {
-            let next = AtomicUsize::new(0);
-            let locals: Mutex<Vec<WorkerLocal>> = Mutex::new(Vec::with_capacity(workers));
-            let (tx, rx) = mpsc::channel();
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let locals = &locals;
-                    let evaluate_one = &evaluate_one;
-                    s.spawn(move || {
-                        let mut scratch = madmax_engine::EngineScratch::new();
-                        let mut local = WorkerLocal {
-                            stats: WorkerStats {
-                                worker: w,
-                                ..WorkerStats::default()
-                            },
-                            latency: LatencyHistogram::default(),
-                        };
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= plans.len() {
-                                break;
-                            }
-                            if tx
-                                .send((i, evaluate_one(i, &mut scratch, &mut local)))
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                        locals.lock().unwrap().push(local);
-                    });
-                }
-            });
-            drop(tx);
-            let mut slots: Vec<Option<Result<IterationReport, EngineError>>> =
-                (0..plans.len()).map(|_| None).collect();
-            for (i, r) in rx {
-                slots[i] = Some(r);
-            }
-            let mut locals = locals.into_inner().unwrap();
-            locals.sort_by_key(|l| l.stats.worker);
+            let (results, locals) = self.pool(plans.len(), evaluate_one);
+            let mut batch = SearchTelemetry::default();
             for local in locals {
-                telemetry.eval_latency.absorb(&local.latency);
-                telemetry.workers.push(local.stats);
+                batch.eval_latency.absorb(&local.latency);
+                batch.workers.push(local.stats);
             }
-            slots
-                .into_iter()
-                .map(|s| s.expect("every plan index was evaluated"))
-                .collect()
-        };
-
-        telemetry.candidates = results.len() as u64;
-        for result in &results {
+            if let Some(t) = &table {
+                batch.flat_cache = t.stats();
+                batch.steady_analytic.absorb(t.analytic_stats());
+            }
+            if let Some(t) = &pipeline_table {
+                batch.pipeline_cache = t.stats();
+                batch.report_memo = t.memo_stats();
+                batch.steady_analytic.absorb(t.analytic_stats());
+            }
+            telemetry.absorb(&batch);
+            evaluated.extend(plans.iter().zip(results).map(|(p, r)| (workload, p, r)));
+        }
+        telemetry.candidates = evaluated.len() as u64;
+        for (_, _, result) in &evaluated {
             match classify(result) {
                 CandidateOutcome::Ok => telemetry.ok += 1,
                 CandidateOutcome::OutOfMemory => telemetry.oom += 1,
@@ -608,18 +598,60 @@ impl<'a> Explorer<'a> {
                 CandidateOutcome::Invalid => telemetry.invalid += 1,
             }
         }
-        if let Some(t) = &table {
-            telemetry.flat_cache = t.stats();
-            telemetry.steady_analytic.absorb(t.analytic_stats());
-        }
-        if let Some(t) = &pipeline_table {
-            telemetry.pipeline_cache = t.stats();
-            telemetry.report_memo = t.memo_stats();
-            telemetry.steady_analytic.absorb(t.analytic_stats());
-        }
         telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         sink.search_finished(&telemetry);
-        (results, telemetry)
+        (evaluated, telemetry)
+    }
+
+    /// Runs `job(i, ..)` for every `i < jobs` on the worker pool (worker 0
+    /// on the calling thread), each worker recycling one
+    /// [`EngineScratch`]. Returns the results in index order and each
+    /// worker's locally accumulated stats, in worker order.
+    fn pool<R: Send>(
+        &self,
+        jobs: usize,
+        job: impl Fn(usize, &mut EngineScratch, &mut WorkerLocal) -> R + Sync,
+    ) -> (Vec<R>, Vec<WorkerLocal>) {
+        let next = AtomicUsize::new(0);
+        let work = |worker: usize| {
+            let mut scratch = EngineScratch::new();
+            let mut local = WorkerLocal::default();
+            local.stats.worker = worker;
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= jobs {
+                    break;
+                }
+                done.push((i, job(i, &mut scratch, &mut local)));
+            }
+            (done, local)
+        };
+        let per_worker: Vec<_> = std::thread::scope(|s| {
+            let work = &work;
+            let spawned: Vec<_> = (1..self.worker_count(jobs))
+                .map(|w| s.spawn(move || work(w)))
+                .collect();
+            std::iter::once(work(0))
+                .chain(spawned.into_iter().map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                }))
+                .collect()
+        });
+        let mut slots: Vec<Option<R>> = (0..jobs).map(|_| None).collect();
+        let mut locals = Vec::with_capacity(per_worker.len());
+        for (done, local) in per_worker {
+            for (i, r) in done {
+                slots[i] = Some(r);
+            }
+            locals.push(local);
+        }
+        let results = slots
+            .into_iter()
+            .map(|r| r.expect("every job ran"))
+            .collect();
+        (results, locals)
     }
 
     /// Exhaustively explores the space for the throughput-optimal
@@ -643,87 +675,69 @@ impl<'a> Explorer<'a> {
     /// not [`Workload::Serve`] — the axis would otherwise be silently
     /// ignored.
     pub fn explore(&self) -> Result<SearchOutcome, EngineError> {
-        assert!(
-            self.space.serve.is_none() || self.workload.serve_config().is_some(),
-            "SearchSpace has serve axes but the explorer's workload is `{}`; \
-             set Explorer::workload(Workload::serve(..))",
-            self.workload
-        );
         let started = Instant::now();
         let base_plan = self.base_plan();
         let variants = self.workload_variants();
-        let base_workload = variants[0].clone();
         let baseline = Scenario::new(self.model, self.system)
             .plan_ref(&base_plan)
-            .workload_ref(&base_workload)
+            .workload_ref(&variants[0])
             .run()?;
-        let serve_ranked = variants.len() > 1
-            || (self.space.serve.is_some() && self.workload.serve_config().is_some());
         let score = |r: &IterationReport| -> f64 {
             r.serve_tokens_per_sec()
                 .unwrap_or_else(|| r.samples_per_sec())
         };
 
-        let mut best_plan = base_plan.clone();
-        let mut best_workload = base_workload.clone();
-        let mut best = baseline.clone();
-        let mut evaluated = 0usize;
-        let (mut oom, mut unmappable, mut invalid) = (0usize, 0usize, 0usize);
-        let mut telemetry = SearchTelemetry::default();
-        for workload in &variants {
-            let candidates = self.candidates();
-            let candidate_count = candidates.len();
-            evaluated += candidate_count;
-            // The baseline combo re-appears among the candidates; reuse
-            // its report instead of simulating it again. Candidates
-            // inherit the baseline's options, so comparing assignments
-            // and pipeline suffices.
-            let to_run: Vec<Plan> = if *workload == base_workload {
-                candidates
-                    .into_iter()
-                    .filter(|p| {
-                        p.assignments != base_plan.assignments || p.pipeline != base_plan.pipeline
-                    })
-                    .collect()
+        let candidates = self.candidates();
+        // The baseline combo re-appears among the candidates; reuse its
+        // report instead of simulating it again. Candidates inherit the
+        // baseline's options, so comparing assignments and pipeline
+        // suffices.
+        let fresh: Vec<Plan> = candidates
+            .iter()
+            .filter(|p| p.assignments != base_plan.assignments || p.pipeline != base_plan.pipeline)
+            .cloned()
+            .collect();
+        let batches: Vec<(&Workload, &[Plan])> = variants
+            .iter()
+            .map(|w| {
+                let plans = if *w == variants[0] {
+                    &fresh
+                } else {
+                    &candidates
+                };
+                (w, plans.as_slice())
+            })
+            .collect();
+        let (evaluated, mut telemetry) =
+            self.run_pipeline(&batches, true, |s, scratch| s.run_in(scratch));
+        // Candidates resolved against the cached baseline report still
+        // count toward the reconciliation invariant: they are `ok` by
+        // construction.
+        let total = candidates.len() * variants.len();
+        let skipped = (total - evaluated.len()) as u64;
+        telemetry.candidates += skipped;
+        telemetry.ok += skipped;
+
+        let (mut best_plan, mut best_workload, mut best) = (&base_plan, &variants[0], &baseline);
+        for (workload, plan, result) in &evaluated {
+            let Ok(r) = result else { continue };
+            let better = if self.space.serve.is_some() {
+                score(r) > score(best)
             } else {
-                candidates
+                r.iteration_time < best.iteration_time
             };
-            let (results, mut variant_telemetry) = self.evaluate_with_telemetry(workload, &to_run);
-            // Candidates resolved against the cached baseline report (no
-            // fresh evaluation) still count toward the reconciliation
-            // invariant: they are `ok` by construction.
-            let skipped = (candidate_count - to_run.len()) as u64;
-            variant_telemetry.candidates += skipped;
-            variant_telemetry.ok += skipped;
-            telemetry.absorb(&variant_telemetry);
-            for (plan, result) in to_run.into_iter().zip(results) {
-                match result {
-                    Ok(r) => {
-                        let better = if serve_ranked {
-                            score(&r) > score(&best)
-                        } else {
-                            r.iteration_time < best.iteration_time
-                        };
-                        if better {
-                            best = r;
-                            best_plan = plan;
-                            best_workload = workload.clone();
-                        }
-                    }
-                    Err(e) if e.is_oom() => oom += 1,
-                    Err(e) if e.is_unmappable_pipeline() => unmappable += 1,
-                    Err(_) => invalid += 1,
-                }
+            if better {
+                (best_plan, best_workload, best) = (plan, workload, r);
             }
         }
 
         let verify = if self.verify_winner {
             let (_, trace, sched) = Scenario::new(self.model, self.system)
-                .plan_ref(&best_plan)
-                .workload_ref(&best_workload)
+                .plan_ref(best_plan)
+                .workload_ref(best_workload)
                 .run_with_trace()?;
-            let report = madmax_verify::Verifier::for_plan(&best_plan, &best_workload)
-                .verify(&trace, &sched);
+            let report =
+                madmax_verify::Verifier::for_plan(best_plan, best_workload).verify(&trace, &sched);
             telemetry.verify_errors += report.error_count() as u64;
             telemetry.verify_warnings += report.warning_count() as u64;
             Some(report)
@@ -732,17 +746,17 @@ impl<'a> Explorer<'a> {
         };
 
         // End-to-end search wall-clock (including the baseline run),
-        // not the sum of per-variant batch times.
+        // not the pipeline's evaluation time alone.
         telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         Ok(SearchOutcome {
-            best_plan,
-            best_workload,
-            best,
+            best_plan: best_plan.clone(),
+            best_workload: best_workload.clone(),
+            best: best.clone(),
             baseline,
-            evaluated,
-            oom,
-            unmappable,
-            invalid,
+            evaluated: total,
+            oom: telemetry.oom as usize,
+            unmappable: telemetry.unmappable as usize,
+            invalid: telemetry.invalid as usize,
             telemetry,
             verify,
         })
@@ -752,6 +766,8 @@ impl<'a> Explorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
+
     use madmax_hw::{catalog, DeviceScaling};
     use madmax_model::ModelId;
     use madmax_parallel::ServeConfig;
@@ -1001,32 +1017,50 @@ mod tests {
         assert_eq!(quiet.telemetry.verify_errors, 0);
     }
 
+    /// Counts what a search streams, checking each event as it arrives,
+    /// and keeps the telemetry of every `search_finished`.
+    #[derive(Debug, Default)]
+    struct CountingSink {
+        events: AtomicU64,
+        ok: AtomicU64,
+        timed: AtomicU64,
+        finished: std::sync::Mutex<Vec<SearchTelemetry>>,
+    }
+
+    impl ProgressSink for CountingSink {
+        fn candidate_completed(&self, event: &CandidateEvent) {
+            self.events.fetch_add(1, Ordering::Relaxed);
+            if event.outcome == CandidateOutcome::Ok {
+                self.ok.fetch_add(1, Ordering::Relaxed);
+            }
+            if event.iteration_ms.is_some() {
+                assert_eq!(event.outcome, CandidateOutcome::Ok);
+                self.timed.fetch_add(1, Ordering::Relaxed);
+            }
+            assert!(event.index < event.total);
+            assert!(event.eval_us >= 0.0);
+        }
+        fn search_finished(&self, telemetry: &SearchTelemetry) {
+            assert!(telemetry.reconciles(), "{telemetry:?}");
+            self.finished.lock().unwrap().push(telemetry.clone());
+        }
+    }
+
+    impl CountingSink {
+        fn count(counter: &AtomicU64) -> u64 {
+            counter.load(Ordering::Relaxed)
+        }
+
+        /// The telemetry of the search's one `search_finished` call.
+        fn only_telemetry(&self) -> SearchTelemetry {
+            let finished = self.finished.lock().unwrap();
+            assert_eq!(finished.len(), 1, "one search_finished per search");
+            finished[0].clone()
+        }
+    }
+
     #[test]
     fn progress_sink_sees_every_candidate_at_any_thread_count() {
-        use std::sync::atomic::AtomicU64;
-
-        #[derive(Debug, Default)]
-        struct CountingSink {
-            events: AtomicU64,
-            ok: AtomicU64,
-            finished: AtomicU64,
-        }
-        impl ProgressSink for CountingSink {
-            fn candidate_completed(&self, event: &CandidateEvent) {
-                self.events.fetch_add(1, Ordering::Relaxed);
-                if event.outcome == CandidateOutcome::Ok {
-                    assert!(event.iteration_ms.is_some());
-                    self.ok.fetch_add(1, Ordering::Relaxed);
-                }
-                assert!(event.index < event.total);
-                assert!(event.eval_us >= 0.0);
-            }
-            fn search_finished(&self, telemetry: &SearchTelemetry) {
-                assert!(telemetry.reconciles());
-                self.finished.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
         let model = ModelId::DlrmA.build();
         let sys = catalog::zionex_dlrm_system();
         let quiet = Explorer::new(&model, &sys).threads(1).explore().unwrap();
@@ -1039,14 +1073,72 @@ mod tests {
                 .unwrap();
             // One event per freshly-evaluated candidate (the baseline
             // duplicate is resolved from its cached report, sink-free).
-            let fired = sink.events.load(Ordering::Relaxed);
+            let fired = CountingSink::count(&sink.events);
             assert_eq!(fired, r.telemetry.eval_latency.count);
             assert_eq!(fired, r.evaluated as u64 - 1);
-            assert_eq!(sink.ok.load(Ordering::Relaxed), r.telemetry.ok - 1);
-            assert_eq!(sink.finished.load(Ordering::Relaxed), 1);
+            assert_eq!(CountingSink::count(&sink.ok), r.telemetry.ok - 1);
+            assert_eq!(CountingSink::count(&sink.timed), r.telemetry.ok - 1);
+            sink.only_telemetry();
             // Attaching a sink must not perturb the search result.
             assert_eq!(r.best_plan, quiet.best_plan);
             assert_eq!(r.best, quiet.best);
+        }
+    }
+
+    #[test]
+    fn load_and_goodput_searches_stream_progress_at_any_thread_count() {
+        use crate::{FaultAxes, LoadAxes};
+        use madmax_engine::FaultSpec;
+        use madmax_parallel::LoadSpec;
+
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        // Transformer strategies: some OOM, so every outcome bucket the
+        // searches fill is exercised.
+        let space = SearchSpace::strategies().with_classes(vec![LayerClass::Transformer]);
+        for threads in [1, 4] {
+            let explorer = |sink| {
+                Explorer::new(&model, &sys)
+                    .space(space.clone())
+                    .threads(threads)
+                    .progress(sink)
+            };
+
+            let sink = CountingSink::default();
+            let g = explorer(&sink)
+                .explore_goodput(&FaultAxes::new(FaultSpec::fatal(3600.0, 60.0, 7)))
+                .unwrap();
+            let t = sink.only_telemetry();
+            let ok = g.candidates.iter().filter(|c| c.error.is_none()).count() as u64;
+            assert_eq!(CountingSink::count(&sink.events), g.candidates.len() as u64);
+            assert_eq!(t.candidates, g.candidates.len() as u64);
+            assert!(t.oom > 0, "{t:?}");
+            assert_eq!((t.ok, CountingSink::count(&sink.ok)), (ok, ok));
+            // Goodput candidates carry their fault-free iteration time.
+            assert_eq!(CountingSink::count(&sink.timed), ok);
+
+            let sink = CountingSink::default();
+            let load = explorer(&sink)
+                .workload(Workload::serve(
+                    ServeConfig::new(256, 16).with_decode_batch(4),
+                ))
+                .explore_load(&LoadAxes::new(LoadSpec::poisson(0.05, 8, 3), [0.05]))
+                .unwrap();
+            let t = sink.only_telemetry();
+            let ok = load.candidates.iter().filter(|c| c.error.is_none()).count() as u64;
+            assert_eq!(
+                CountingSink::count(&sink.events),
+                load.candidates.len() as u64
+            );
+            assert_eq!(t.candidates, load.candidates.len() as u64);
+            assert!(t.oom > 0, "{t:?}");
+            assert_eq!((t.ok, CountingSink::count(&sink.ok)), (ok, ok));
+            assert_eq!(
+                CountingSink::count(&sink.timed),
+                0,
+                "load runs have no iteration"
+            );
+            assert_eq!(t.eval_latency.count, t.candidates);
         }
     }
 }

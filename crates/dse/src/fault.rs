@@ -3,23 +3,23 @@
 //! not their fault-free iteration time.
 //!
 //! [`Explorer::explore_goodput`] sweeps the space's (plan, workload)
-//! candidates against a [`FaultAxes`]: each candidate runs its
-//! fault-free simulation once, prices a checkpoint write/restart from
-//! its per-device memory breakdown (replicated plans carry fat
-//! checkpoints, sharded plans thin ones), then evaluates the closed-form
-//! Young/Daly expected goodput at every checkpoint interval on the
-//! axes. The headline result is [`GoodputSearchOutcome::plan_flip`]:
-//! as the fleet MTBF shrinks, the goodput-optimal plan diverges from
-//! the latency-optimal one — exactly the failure-awareness the
-//! fault-free explorer cannot see.
+//! candidates against a [`FaultAxes`], on the explorer's worker pool and
+//! shared cost tables: each candidate runs its fault-free simulation
+//! once, prices a checkpoint write/restart from its per-device memory
+//! breakdown (replicated plans carry fat checkpoints, sharded plans thin
+//! ones), then evaluates the closed-form Young/Daly expected goodput at
+//! every checkpoint interval on the axes. The headline result is
+//! [`GoodputSearchOutcome::plan_flip`]: as the fleet MTBF shrinks, the
+//! goodput-optimal plan diverges from the latency-optimal one — exactly
+//! the failure-awareness the fault-free explorer cannot see.
 
-use madmax_engine::{EngineError, FaultSpec, GoodputReport, Scenario};
-use madmax_fault::{expected_goodput, young_daly_interval};
+use madmax_engine::{EngineError, FaultSpec, GoodputOutcome, GoodputReport};
+use madmax_fault::expected_goodput;
 use madmax_hw::units::Seconds;
 use madmax_obs::SearchTelemetry;
 use madmax_parallel::{Plan, Workload};
 
-use crate::explore::Explorer;
+use crate::explore::{Explorer, IterationTime};
 
 /// The fault dimensions of a goodput search: one fault process (the
 /// fleet MTBF must be set) and the checkpoint intervals to sweep.
@@ -50,19 +50,6 @@ impl FaultAxes {
     pub fn with_intervals(mut self, intervals: impl IntoIterator<Item = f64>) -> Self {
         self.intervals = intervals.into_iter().collect();
         self
-    }
-
-    /// The per-candidate sweep: one spec per interval, or the base spec
-    /// alone.
-    fn sweep(&self) -> Vec<FaultSpec> {
-        if self.intervals.is_empty() {
-            vec![self.fault.clone()]
-        } else {
-            self.intervals
-                .iter()
-                .map(|&ci| self.fault.clone().with_checkpoint_interval(ci))
-                .collect()
-        }
     }
 }
 
@@ -136,16 +123,24 @@ impl GoodputSearchOutcome {
     }
 }
 
+impl IterationTime for GoodputOutcome {
+    fn iteration_ms(&self) -> Option<f64> {
+        Some(self.report.iteration_time.as_ms())
+    }
+}
+
 impl Explorer<'_> {
     /// Searches the space for the deployment with the highest
     /// **failure-aware goodput** under `axes`' fault process.
     ///
     /// Candidates are the same (plan, workload-variant) combinations
-    /// [`Explorer::explore`] evaluates. Each runs its fault-free
+    /// [`Explorer::explore`] evaluates, on the same worker pool and
+    /// through the same shared cost tables. Each runs its fault-free
     /// simulation and prices its checkpoint once
-    /// ([`Scenario::goodput`]); the remaining interval points reuse that
-    /// report and checkpoint through the closed form, so a k-interval
-    /// sweep costs one simulation, not k.
+    /// ([`madmax_engine::Scenario::goodput`] at the first interval); the
+    /// remaining interval points reuse that report's checkpoint write,
+    /// restart and MTBF through the closed form, so a k-interval sweep
+    /// costs one simulation, not k.
     ///
     /// Ranking: highest [`GoodputCandidate::score`] — effective
     /// iterations/second at the best swept checkpoint interval.
@@ -158,15 +153,20 @@ impl Explorer<'_> {
     /// [`EngineError::InvalidFault`] for an invalid spec, a spec without
     /// an MTBF, or a non-positive interval; the first candidate's error
     /// when every candidate failed to simulate.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the space carries serve axes but the workload is not
+    /// serve (matching [`Explorer::explore`]).
     pub fn explore_goodput(&self, axes: &FaultAxes) -> Result<GoodputSearchOutcome, EngineError> {
         axes.fault
             .validate()
             .map_err(|reason| EngineError::InvalidFault { reason })?;
-        let Some(mtbf) = axes.fault.mtbf else {
+        if axes.fault.mtbf.is_none() {
             return Err(EngineError::InvalidFault {
                 reason: "goodput search needs a fatal-fault MTBF (FaultSpec::mtbf)".to_owned(),
             });
-        };
+        }
         for &ci in &axes.intervals {
             if !ci.is_finite() || ci <= 0.0 {
                 return Err(EngineError::InvalidFault {
@@ -174,59 +174,36 @@ impl Explorer<'_> {
                 });
             }
         }
-        let started = std::time::Instant::now();
-        let sweep = axes.sweep();
-        let mut candidates = Vec::new();
-        let mut evaluated = 0usize;
-        let mut telemetry = SearchTelemetry::default();
-        for workload in self.workload_variants() {
-            for plan in self.candidates() {
-                let scenario = Scenario::new(self.model_arch(), self.cluster())
-                    .plan_ref(&plan)
-                    .workload_ref(&workload);
-                // One simulation + one checkpoint pricing per candidate;
-                // every interval point is closed-form on top of it.
-                telemetry.candidates += 1;
-                let base = match scenario.goodput(&sweep[0]) {
-                    Ok(o) => o,
-                    Err(e) => {
-                        if e.is_oom() {
-                            telemetry.oom += 1;
-                        } else if e.is_unmappable_pipeline() {
-                            telemetry.unmappable += 1;
-                        } else {
-                            telemetry.invalid += 1;
-                        }
-                        candidates.push(GoodputCandidate {
-                            plan: plan.clone(),
-                            workload: workload.clone(),
-                            points: Vec::new(),
-                            best_point: None,
-                            iteration_time: None,
-                            error: Some(e),
-                        });
-                        continue;
+        let first = match axes.intervals.first() {
+            Some(&ci) => axes.fault.clone().with_checkpoint_interval(ci),
+            None => axes.fault.clone(),
+        };
+        let variants = self.workload_variants();
+        let plans = self.candidates();
+        let batches: Vec<_> = variants.iter().map(|w| (w, plans.as_slice())).collect();
+        let (evaluated, mut telemetry) =
+            self.run_pipeline(&batches, true, |s, _| s.goodput(&first));
+        let candidates: Vec<GoodputCandidate> = evaluated
+            .into_iter()
+            .map(|(workload, plan, result)| {
+                let (points, iteration_time, error) = match result {
+                    Ok(base) => {
+                        let g = base.goodput;
+                        let iter_time = base.report.iteration_time;
+                        let mut points = vec![g];
+                        points.extend(axes.intervals.iter().skip(1).map(|&ci| {
+                            expected_goodput(
+                                iter_time.as_secs(),
+                                g.checkpoint_write,
+                                g.restart,
+                                g.mtbf,
+                                ci,
+                            )
+                        }));
+                        (points, Some(iter_time), None)
                     }
+                    Err(e) => (Vec::new(), None, Some(e)),
                 };
-                telemetry.ok += 1;
-                evaluated += 1;
-                let iter_time = base.report.iteration_time;
-                let write = base.ckpt.write.as_secs();
-                let restart = base.ckpt.restart.as_secs();
-                let mut points = vec![base.goodput];
-                for spec in &sweep[1..] {
-                    let interval = spec
-                        .checkpoint_interval
-                        .unwrap_or_else(|| young_daly_interval(write, mtbf));
-                    points.push(expected_goodput(
-                        iter_time.as_secs(),
-                        write,
-                        restart + spec.recovery,
-                        mtbf,
-                        interval,
-                    ));
-                    evaluated += 1;
-                }
                 let best_point = points
                     .iter()
                     .enumerate()
@@ -234,16 +211,16 @@ impl Explorer<'_> {
                         a.effective_throughput.total_cmp(&b.effective_throughput)
                     })
                     .map(|(i, _)| i);
-                candidates.push(GoodputCandidate {
+                GoodputCandidate {
                     plan: plan.clone(),
                     workload: workload.clone(),
                     points,
                     best_point,
-                    iteration_time: Some(iter_time),
-                    error: None,
-                });
-            }
-        }
+                    iteration_time,
+                    error,
+                }
+            })
+            .collect();
 
         let ranked = |key: fn(&GoodputCandidate) -> f64| {
             candidates
@@ -255,8 +232,8 @@ impl Explorer<'_> {
         };
         let best_candidate = ranked(GoodputCandidate::score);
         let fault_free_best = ranked(|c| c.points.first().map_or(0.0, |p| p.fault_free_throughput));
+        let evaluated: usize = candidates.iter().map(|c| c.points.len()).sum();
         telemetry.goodput_evals = evaluated as u64;
-        telemetry.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         match (best_candidate, fault_free_best) {
             (Some(best_candidate), Some(fault_free_best)) => Ok(GoodputSearchOutcome {
                 candidates,
@@ -283,6 +260,7 @@ impl Explorer<'_> {
 mod tests {
     use super::*;
     use crate::explore::SearchSpace;
+    use madmax_engine::Scenario;
     use madmax_hw::catalog;
     use madmax_model::ModelId;
 
@@ -312,25 +290,51 @@ mod tests {
         assert_eq!(r.telemetry.goodput_evals, 3);
         assert_eq!(r.telemetry.ok, 1);
         assert!(r.telemetry.reconciles());
+        // The candidate priced through the search's shared flat table.
+        assert!(r.telemetry.flat_cache.total() > 0, "{:?}", r.telemetry);
     }
 
     #[test]
     fn interval_sweep_matches_per_interval_scenario_goodput() {
+        // The uncached `Scenario::goodput` at each interval is the
+        // reference for the search's shared-table, one-simulation sweep:
+        // every candidate's points match it bit for bit, and every
+        // failed candidate fails with the same error.
         let model = ModelId::Llama2.build();
         let sys = catalog::llama_llm_system();
-        let explorer = Explorer::new(&model, &sys).space(SearchSpace::default());
         let intervals = [30.0, 600.0];
-        let r = explorer
-            .explore_goodput(&axes(1800.0).with_intervals(intervals))
-            .unwrap();
-        let scenario = Scenario::new(&model, &sys);
-        for (i, &ci) in intervals.iter().enumerate() {
-            let direct = scenario
-                .goodput(&FaultSpec::fatal(1800.0, 60.0, 7).with_checkpoint_interval(ci))
+        for space in [SearchSpace::default(), SearchSpace::strategies()] {
+            let r = Explorer::new(&model, &sys)
+                .space(space)
+                .explore_goodput(&axes(1800.0).with_intervals(intervals))
                 .unwrap();
-            let swept = &r.best().points[i];
-            assert!((swept.goodput_fraction - direct.goodput.goodput_fraction).abs() < 1e-12);
-            assert!((swept.interval - direct.goodput.interval).abs() < 1e-12);
+            assert!(r.candidates.iter().any(|c| c.error.is_none()));
+            for c in &r.candidates {
+                let scenario = Scenario::new(&model, &sys)
+                    .plan_ref(&c.plan)
+                    .workload_ref(&c.workload);
+                for (i, &ci) in intervals.iter().enumerate() {
+                    let direct = scenario
+                        .goodput(&FaultSpec::fatal(1800.0, 60.0, 7).with_checkpoint_interval(ci));
+                    match (&direct, &c.error) {
+                        (Ok(direct), None) => {
+                            assert_eq!(
+                                format!("{:?}", c.points[i]),
+                                format!("{:?}", direct.goodput)
+                            );
+                            assert_eq!(c.iteration_time, Some(direct.report.iteration_time));
+                        }
+                        (Err(direct), Some(swept)) => {
+                            assert_eq!(swept.to_string(), direct.to_string());
+                        }
+                        _ => panic!(
+                            "{}: search {:?} vs direct {direct:?}",
+                            c.plan.summary(),
+                            c.error
+                        ),
+                    }
+                }
+            }
         }
     }
 

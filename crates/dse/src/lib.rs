@@ -13,6 +13,13 @@
 //! batch) to the space and the explorer ranks (plan, batch) combinations
 //! by output tokens per second.
 //!
+//! The three searches — latency ([`Explorer::explore`]), load-SLO
+//! ([`Explorer::explore_load`]) and failure-aware goodput
+//! ([`Explorer::explore_goodput`]) — share one candidate pipeline: the
+//! same (plan, workload-variant) enumeration, worker pool, outcome
+//! classification, progress events and [`SearchTelemetry`]. Each keeps
+//! only its per-candidate evaluation and its ranking.
+//!
 //! The pre-`Explorer` entry points (`optimize`, `optimize_pipeline`) have
 //! been removed after their deprecation release; `Explorer` over the
 //! matching `SearchSpace` is the single search API.

@@ -3,20 +3,23 @@
 //! without violating a tail-latency SLO.
 //!
 //! [`Explorer::explore_load`] sweeps the space's (plan, workload)
-//! candidates against a ladder of arrival rates. Each candidate prices
-//! its per-step cost model once (a handful of engine probes), then
-//! simulates every rate through `madmax_serve`'s event-driven simulator.
+//! candidates against a ladder of arrival rates, on the explorer's
+//! worker pool. Each candidate prices its per-step cost model once (a
+//! handful of engine probes), then simulates every rate through
+//! `madmax_serve`'s event-driven simulator.
 //! A rate point is *feasible* when its p99 TTFT meets the SLO; a
 //! candidate's score is the best feasible throughput, and the winner's
 //! rate sweep is the latency-vs-throughput frontier (the serving
 //! counterpart of the paper's iteration-time sweeps).
 
-use madmax_engine::{EngineError, Scenario, SimMode};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use madmax_engine::{EngineError, SimMode};
 use madmax_hw::units::Seconds;
 use madmax_parallel::{ArrivalSpec, LoadSpec, Plan, Workload};
 use madmax_serve::LoadReport;
 
-use crate::explore::Explorer;
+use crate::explore::{Explorer, IterationTime};
 
 /// The load dimensions of a search: a base [`LoadSpec`] (queue, paging,
 /// horizon knobs), the arrival rates to sweep, and the TTFT SLO.
@@ -153,18 +156,24 @@ impl LoadSearchOutcome {
     }
 }
 
+impl IterationTime for Vec<LoadPoint> {
+    fn iteration_ms(&self) -> Option<f64> {
+        None
+    }
+}
+
 impl Explorer<'_> {
     /// Searches the space for the deployment sustaining the highest
     /// continuous-batching throughput under `axes`' TTFT SLO.
     ///
     /// Candidates are the same (plan, workload-variant) combinations
-    /// [`Explorer::explore`] evaluates; each prices one per-step cost
-    /// model and simulates every arrival rate in event mode (serially —
-    /// one load run is itself a full request-stream simulation).
-    /// Candidates whose pricing fails (OOM at the worst-case context,
-    /// unmappable pipeline, ...) or whose load run at some rate fails
-    /// (its clock leaving the exact grid) stay in the outcome with their
-    /// error.
+    /// [`Explorer::explore`] evaluates, on the same worker pool; each
+    /// prices one per-step cost model and simulates every arrival rate in
+    /// event mode. Candidates whose pricing fails (OOM at the worst-case
+    /// context, unmappable pipeline, ...) or whose load run at some rate
+    /// fails (its clock leaving the exact grid) stay in the outcome with
+    /// their error. The search's telemetry reaches the attached
+    /// [`madmax_obs::ProgressSink`] (`search_finished`).
     ///
     /// Ranking: highest [`LoadCandidate::score`] — throughput at the
     /// best SLO-feasible rate. When *no* candidate meets the SLO at any
@@ -182,66 +191,46 @@ impl Explorer<'_> {
     /// Panics when the space carries serve axes but the workload is not
     /// serve (matching [`Explorer::explore`]).
     pub fn explore_load(&self, axes: &LoadAxes) -> Result<LoadSearchOutcome, EngineError> {
-        assert!(
-            self.search_space().serve.is_none() || self.base_workload().serve_config().is_some(),
-            "SearchSpace has serve axes but the explorer's workload is `{}`; \
-             set Explorer::workload(Workload::serve(..))",
-            self.base_workload()
-        );
-        if self.base_workload().serve_config().is_none() {
+        let variants = self.workload_variants();
+        if variants[0].serve_config().is_none() {
             return Err(EngineError::InvalidLoad {
                 reason: "load search needs a serve workload".to_owned(),
             });
         }
         self.base_spec_check(axes)?;
         let sweep = axes.sweep();
-        let mut candidates = Vec::new();
-        let mut evaluated = 0usize;
-        for workload in self.workload_variants() {
-            for plan in self.candidates() {
-                let scenario = Scenario::new(self.model_arch(), self.cluster())
-                    .plan_ref(&plan)
-                    .workload_ref(&workload)
-                    .analytic_serve(true);
-                // Request shapes are rate-independent, so one cost model
-                // serves the whole sweep.
-                let costs = match scenario.price_load(&sweep[0].1) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        candidates.push(LoadCandidate {
-                            plan: plan.clone(),
-                            workload: workload.clone(),
-                            points: Vec::new(),
-                            best_point: None,
-                            error: Some(e),
-                        });
-                        continue;
-                    }
-                };
-                let mut points = Vec::with_capacity(sweep.len());
-                let mut error = None;
-                for (rate, spec) in &sweep {
-                    let outcome =
-                        match scenario.serve_load_priced(spec, &costs, SimMode::Event, None) {
-                            Ok(outcome) => outcome,
-                            Err(e) => {
-                                // A run leaving the exact grid fails this
-                                // candidate only, like a pricing error.
-                                points.clear();
-                                error = Some(e);
-                                break;
-                            }
-                        };
-                    evaluated += 1;
-                    let feasible = axes
-                        .slo_ttft_p99
-                        .is_none_or(|slo| outcome.report.meets_ttft_slo(slo));
-                    points.push(LoadPoint {
+        let plans = self.candidates();
+        let batches: Vec<_> = variants.iter().map(|w| (w, plans.as_slice())).collect();
+        let simulations = AtomicUsize::new(0);
+        let (evaluated, _) = self.run_pipeline(&batches, false, |s, _| {
+            // Request shapes are rate-independent, so one cost model
+            // serves the whole sweep. A run leaving the exact grid fails
+            // this candidate only, like a pricing error.
+            let costs = s.price_load(&sweep[0].1)?;
+            sweep
+                .iter()
+                .map(|(rate, spec)| {
+                    let report = s
+                        .serve_load_priced(spec, &costs, SimMode::Event, None)?
+                        .report;
+                    simulations.fetch_add(1, Ordering::Relaxed);
+                    Ok(LoadPoint {
                         rate: *rate,
-                        report: outcome.report,
-                        feasible,
-                    });
-                }
+                        feasible: axes
+                            .slo_ttft_p99
+                            .is_none_or(|slo| report.meets_ttft_slo(slo)),
+                        report,
+                    })
+                })
+                .collect()
+        });
+        let candidates: Vec<LoadCandidate> = evaluated
+            .into_iter()
+            .map(|(workload, plan, result)| {
+                let (points, error) = match result {
+                    Ok(points) => (points, None),
+                    Err(e) => (Vec::new(), Some(e)),
+                };
                 let best_point = points
                     .iter()
                     .enumerate()
@@ -250,15 +239,15 @@ impl Explorer<'_> {
                         a.report.tokens_per_sec.total_cmp(&b.report.tokens_per_sec)
                     })
                     .map(|(i, _)| i);
-                candidates.push(LoadCandidate {
+                LoadCandidate {
                     plan: plan.clone(),
                     workload: workload.clone(),
                     points,
                     best_point,
                     error,
-                });
-            }
-        }
+                }
+            })
+            .collect();
 
         let scored = candidates
             .iter()
@@ -296,7 +285,7 @@ impl Explorer<'_> {
             candidates,
             best_candidate,
             slo_ttft_p99: axes.slo_ttft_p99,
-            evaluated,
+            evaluated: simulations.into_inner(),
         })
     }
 

@@ -3,8 +3,8 @@
 //!
 //! `madmax_dse::Explorer` calls [`ProgressSink::candidate_completed`]
 //! from whichever worker finishes each candidate and
-//! [`ProgressSink::search_finished`] once per evaluation batch, after the
-//! pool joins. Sinks must therefore be `Send + Sync` and treat event
+//! [`ProgressSink::search_finished`] once per search (latency, load-SLO
+//! or goodput) or `evaluate_with_telemetry` batch, after the pool joins. Sinks must therefore be `Send + Sync` and treat event
 //! *order* as nondeterministic under multi-threaded search (the event
 //! set, and every per-event payload, is deterministic).
 //!
@@ -58,7 +58,8 @@ pub trait ProgressSink: Send + Sync + std::fmt::Debug {
     /// Called by whichever worker completes each candidate.
     fn candidate_completed(&self, event: &CandidateEvent);
 
-    /// Called once per evaluation batch, after the worker pool joins.
+    /// Called once per search (or `evaluate_with_telemetry` batch), after
+    /// its last candidate.
     fn search_finished(&self, _telemetry: &SearchTelemetry) {}
 
     /// Called once per completed request of a load simulation, in

@@ -1,9 +1,10 @@
 //! Search telemetry: what a design-space search did and where the time
 //! went.
 //!
-//! `madmax_dse::Explorer` fills one [`SearchTelemetry`] per evaluation
-//! batch and merges them across workload variants in `explore()`. The
-//! counters come from three places:
+//! `madmax_dse::Explorer` fills one [`SearchTelemetry`] per search —
+//! `explore()`, `explore_load()` or `explore_goodput()` — merging the
+//! per-variant batches of its one candidate pipeline. The counters come
+//! from three places:
 //!
 //! - **outcome counters** are tallied from each candidate's result as it
 //!   completes (`candidates == ok + oom + unmappable + invalid` always

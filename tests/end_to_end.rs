@@ -235,3 +235,23 @@ fn cli_rejects_degenerate_serve_inputs() {
         assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
 }
+
+#[test]
+fn cli_rejects_unknown_flags() {
+    // A typo'd flag must fail loudly instead of running with the default.
+    let out = madmax(&[
+        "search",
+        "--model",
+        "llama2",
+        "--system",
+        "llama",
+        "--task",
+        "serve",
+        "--arival-rate",
+        "0.1",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "nothing ran: {out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr.trim(), "error: unknown flag --arival-rate");
+}

@@ -14,17 +14,21 @@
 //!   percentiles up;
 //! - **Mode equivalence**: the event-driven series-jump mode produces a
 //!   [`LoadReport`] and per-request records byte-identical to the naive
-//!   per-token reference — the speedup is purely wall-clock.
+//!   per-token reference — the speedup is purely wall-clock;
+//! - **Search determinism**: the SLO-constrained load search returns the
+//!   same outcome on one worker thread as on four.
 //!
 //! [`StepCostModel`]: madmax_serve::StepCostModel
 //! [`LoadReport`]: madmax_serve::LoadReport
 
 use proptest::prelude::*;
 
+use madmax_dse::{Explorer, LoadAxes, PipelineAxes, SearchSpace};
 use madmax_engine::{Scenario, SimMode};
 use madmax_hw::catalog;
-use madmax_model::ModelId;
-use madmax_parallel::{LoadSpec, ServeConfig, Workload};
+use madmax_hw::units::Seconds;
+use madmax_model::{LayerClass, ModelId};
+use madmax_parallel::{LoadSpec, PipelineSchedule, ServeConfig, Workload};
 use madmax_serve::{LoadOutcome, StepCostModel};
 
 /// A randomized but always-valid Poisson load spec: `paged = 0` leaves
@@ -189,5 +193,45 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&event.report, &naive.report);
         prop_assert_eq!(&event.trace.records, &naive.trace.records);
+    }
+}
+
+#[test]
+fn load_search_is_deterministic_across_thread_counts() {
+    // Transformer strategies x pp 1/8: some candidates OOM, so errors
+    // are compared too.
+    let model = ModelId::Llama2.build();
+    let sys = catalog::llama_llm_system();
+    let space = SearchSpace::strategies()
+        .with_classes(vec![LayerClass::Transformer])
+        .with_pipeline(PipelineAxes {
+            stages: vec![1, 8],
+            microbatches: vec![8],
+            schedules: vec![PipelineSchedule::GPipe],
+        });
+    let axes = LoadAxes::new(LoadSpec::poisson(0.05, 12, 5), [0.05, 0.5])
+        .with_slo_ttft_p99(Seconds::new(30.0));
+    let run = |threads: usize| {
+        Explorer::new(&model, &sys)
+            .workload(Workload::serve(
+                ServeConfig::new(256, 16).with_decode_batch(4),
+            ))
+            .space(space.clone())
+            .threads(threads)
+            .explore_load(&axes)
+            .unwrap()
+    };
+    let one = run(1);
+    let four = run(4);
+    assert_eq!(one.best_candidate, four.best_candidate);
+    assert_eq!(one.evaluated, four.evaluated);
+    assert_eq!(one.candidates.len(), four.candidates.len());
+    assert!(one.candidates.iter().any(|c| c.error.is_some()));
+    assert!(one.candidates.iter().any(|c| c.points.len() == 2));
+    for (a, b) in one.candidates.iter().zip(&four.candidates) {
+        assert_eq!(a.plan, b.plan);
+        assert_eq!(format!("{:?}", a.points), format!("{:?}", b.points));
+        assert_eq!(a.best_point, b.best_point);
+        assert_eq!(format!("{:?}", a.error), format!("{:?}", b.error));
     }
 }
