@@ -12,6 +12,7 @@
 //! madmax config   --model dlrm-b --out /tmp/cfgs   # emit the 3 JSON files
 //! madmax simulate --config-dir /tmp/cfgs           # run from JSON configs
 //! madmax verify [--only pipeline]                  # verify corpus schedules
+//! madmax figures [--only fig10] [--threads 4]      # paper tables/figures
 //! madmax simulate --model llama2 --system llama --task serve \
 //!        --prompt 256 --decode 64 --decode-batch 8 \
 //!        --arrival-rate 0.1 --arrival-count 64     # continuous batching
@@ -83,10 +84,19 @@
 //! serve shapes, and the obs golden-trace scenarios) and exits non-zero
 //! if any scenario draws an error — this is CI's schedule-integrity
 //! gate. `--only SUBSTR` restricts it to matching scenario names.
+//!
+//! The `figures` subcommand runs the paper's table/figure experiments
+//! ([`madmax_bench::experiments::all`]) in order, prints each report and
+//! writes it to `results/<name>.txt`, then prints a per-experiment
+//! elapsed-time table on stderr and spools every search's telemetry to
+//! `results/telemetry.json`. `--only SUBSTR` runs the experiments whose
+//! name contains `SUBSTR`; `--threads`, `--progress` and `--verify` reach
+//! every search the experiments run.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use madmax_bench::{emit, experiments, SearchHooks};
 use madmax_core::config::{ExperimentSpec, SimulationConfig};
 use madmax_core::steady::grid_units_round;
 use madmax_dse::{Explorer, FaultAxes, LoadAxes, SearchSpace};
@@ -95,7 +105,10 @@ use madmax_fault::{materialize_faults, replay_goodput};
 use madmax_hw::units::Seconds;
 use madmax_hw::{catalog, ClusterSpec};
 use madmax_model::{LayerClass, ModelArch, ModelId};
-use madmax_obs::{forward_to_sink, ChromeTrace, LoadTelemetry, ProgressSink, StderrTicker};
+use madmax_obs::{
+    forward_to_sink, ChromeTrace, ElapsedSummary, LoadTelemetry, ProgressSink, StderrTicker,
+    TelemetrySpool,
+};
 use madmax_parallel::{HierStrategy, LoadSpec, Plan, ServeConfig, Workload};
 use madmax_serve::parse_request_jsonl;
 
@@ -765,6 +778,45 @@ fn print_report(
     Ok(())
 }
 
+/// `figures`: runs the table/figure experiments (those whose name
+/// contains `--only`, when given) in order, writing each report to
+/// `results/<name>.txt`, then prints the elapsed-time table and spools the
+/// searches' telemetry to `results/telemetry.json`.
+fn run_figures(args: &Args) -> Result<(), String> {
+    let threads =
+        parse_num::<usize>(args, "threads")?.unwrap_or_else(madmax_bench::default_threads);
+    let ticker = parse_num::<u64>(args, "progress")?.map(StderrTicker::every);
+    let spool = TelemetrySpool::new();
+    let hooks = SearchHooks {
+        threads: threads.max(1),
+        sink: ticker.as_ref().map(|t| t as &dyn ProgressSink),
+        spool: Some(&spool),
+        verify: args.is_set("verify"),
+    };
+    let only = args.get("only").unwrap_or("");
+    let selected: Vec<_> = experiments::all(hooks)
+        .into_iter()
+        .filter(|(name, _)| name.contains(only))
+        .collect();
+    if selected.is_empty() {
+        return Err(format!("no experiment name contains `{only}`"));
+    }
+    let mut summary = ElapsedSummary::new();
+    for (name, run) in selected {
+        eprintln!(">>> {name}");
+        let report = summary.run(name, run);
+        emit(name, &report);
+    }
+    eprintln!("\n=== elapsed per experiment ===");
+    eprint!("{}", summary.table());
+    let path = madmax_bench::results_dir().join("telemetry.json");
+    spool
+        .write(&path)
+        .map_err(|e| format!("cannot write search telemetry to {}: {e}", path.display()))?;
+    eprintln!("search telemetry written to {}", path.display());
+    Ok(())
+}
+
 const USAGE: &str = "\
 usage: madmax <command> [flags]
 
@@ -773,6 +825,7 @@ commands:
   simulate --model M --system S [...]   simulate one plan (--config-dir D: from JSON)
   search   --model M --system S [...]   search for the best plan
   verify   [--only FAMILY]              verify the corpus schedules
+  figures  [--only NAME] [--threads N]  run the paper's tables/figures into results/
   config   --model M --out DIR          emit model/system/experiment JSON
 
 common flags: --task pretraining|inference|finetune-dense|finetune-embedding|serve,
@@ -1117,6 +1170,7 @@ fn run() -> Result<(), String> {
             println!("all {ran} scenarios verified clean");
             Ok(())
         }
+        "figures" => run_figures(&Args::parse(rest)?),
         "config" => {
             let args = Args::parse(rest)?;
             let model = lookup_model(&args)?;

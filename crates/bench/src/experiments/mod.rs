@@ -18,7 +18,7 @@ use crate::SearchHooks;
 /// rendering its report.
 pub type Experiment<'a> = (&'static str, Box<dyn Fn() -> String + 'a>);
 
-/// Every table/figure experiment of the suite, in `run_all` order. The
+/// Every table/figure experiment of the suite, in `madmax figures` order. The
 /// DSE-heavy ones thread `hooks` into their explorers.
 pub fn all(hooks: SearchHooks<'_>) -> Vec<Experiment<'_>> {
     let h = hooks;

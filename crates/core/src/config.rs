@@ -275,11 +275,15 @@ mod tests {
         let cfg = sample();
         let js = cfg.to_json().unwrap();
         let cfg = SimulationConfig::from_json(&js).unwrap();
-        let report = crate::perf::run_flat_default(
+        let report = crate::perf::run_flat_single_use(
             &cfg.model,
             &cfg.system,
             &cfg.experiment.plan,
-            &cfg.experiment.workload,
+            cfg.experiment.workload.clone(),
+            &crate::HierarchicalNccl,
+            crate::UtilizationModel::Constant,
+            true,
+            &mut crate::EngineScratch::new(),
         )
         .unwrap();
         assert!(report.iteration_time.as_ms() > 0.0);

@@ -64,7 +64,7 @@ pub use compute::UtilizationModel;
 pub use costs::{CostTable, PricedComm, StrategyCosts};
 pub use counters::{CacheCounters, CacheStats};
 pub use metrics::{serve_stats_from, IterationReport, ReportScratch, ServeStats};
-pub use perf::{run_flat_cached, run_flat_default};
+pub use perf::{run_flat_cached, run_flat_single_use};
 pub use sim::{
     debug_check_schedule, merged, merged_into, schedule, schedule_into, single_difference_measure,
     EngineScratch, OpWindow, ReportMemo, Schedule, StreamTable,
@@ -79,8 +79,8 @@ pub use trace::{
 
 #[cfg(test)]
 mod cross_module_tests {
-    use crate::perf::run_flat_default;
-    use crate::{CostTable, IterationReport, Trace, UtilizationModel};
+    use crate::perf::run_flat_single_use;
+    use crate::{CostTable, EngineScratch, IterationReport, Trace, UtilizationModel};
     use madmax_hw::{catalog, ClusterSpec};
     use madmax_model::{ModelArch, ModelId};
     use madmax_parallel::{Plan, PlanError, Workload};
@@ -91,7 +91,16 @@ mod cross_module_tests {
         plan: &Plan,
         workload: Workload,
     ) -> Result<IterationReport, PlanError> {
-        run_flat_default(model, cluster, plan, &workload)
+        run_flat_single_use(
+            model,
+            cluster,
+            plan,
+            workload,
+            &crate::HierarchicalNccl,
+            UtilizationModel::Constant,
+            true,
+            &mut EngineScratch::new(),
+        )
     }
 
     fn assemble_trace(model: &ModelArch, cluster: &ClusterSpec, plan: &Plan) -> Trace {

@@ -4,10 +4,10 @@
 //! [`run_flat_cached`] is the engine: it assembles a plan's trace from a
 //! priced [`CostTable`], schedules it, and builds the report. Design-space
 //! searches share one table across every candidate; one-shot runs price a
-//! single-use table for their one plan (`madmax_pipeline::run_single_use`,
-//! or [`run_flat_default`] inside this crate). New code should go through
-//! the unified `madmax_engine::Scenario` front door, which also
-//! dispatches pipelined plans.
+//! single-use table for their one plan ([`run_flat_single_use`], which
+//! `madmax_pipeline::run_single_use` dispatches flat plans to). New code
+//! should go through the unified `madmax_engine::Scenario` front door,
+//! which also dispatches pipelined plans.
 //!
 //! Serve workloads run their prefill and decode phases through the same
 //! trace machinery: the prefill is the familiar forward-only pass (over
@@ -27,7 +27,7 @@ use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
 use madmax_parallel::{Plan, PlanError, Workload};
 
-use crate::collective::HierarchicalNccl;
+use crate::collective::CollectiveModel;
 use crate::compute::UtilizationModel;
 use crate::costs::CostTable;
 use crate::metrics::IterationReport;
@@ -121,34 +121,48 @@ pub fn run_flat_cached(
     Ok(report)
 }
 
-/// Runs the flat engine once with the default cost models, through a
-/// single-use [`CostTable`] priced for `plan` alone.
+/// Evaluates a flat `plan` once through a single-use [`CostTable`] priced
+/// for it alone, then [`run_flat_cached`].
+///
+/// `analytic_serve` sets the table's closed-form decode switch. With it
+/// off, the full trace and its schedule are left in `scratch.trace` and
+/// `scratch.sched` for timeline rendering.
 ///
 /// # Errors
 ///
 /// Same conditions as [`run_flat_cached`].
-pub fn run_flat_default(
+#[allow(clippy::too_many_arguments)]
+pub fn run_flat_single_use(
     model: &ModelArch,
     cluster: &ClusterSpec,
     plan: &Plan,
-    workload: &Workload,
+    workload: Workload,
+    collectives: &dyn CollectiveModel,
+    utilization: UtilizationModel,
+    analytic_serve: bool,
+    scratch: &mut EngineScratch,
 ) -> Result<IterationReport, PlanError> {
-    let mut table = CostTable::new(
-        model,
-        cluster,
-        workload.clone(),
-        plan.options,
-        &HierarchicalNccl,
-        UtilizationModel::Constant,
-    );
-    table.ensure_plan(plan);
-    run_flat_cached(&table, plan, &mut EngineScratch::new())
+    let table = {
+        let _span = crate::prof::span("price.flat");
+        let mut table = CostTable::new(
+            model,
+            cluster,
+            workload,
+            plan.options,
+            collectives,
+            utilization,
+        );
+        table.set_analytic_serve(analytic_serve);
+        table.ensure_plan(plan);
+        table
+    };
+    run_flat_cached(&table, plan, scratch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::FlatWorstLink;
+    use crate::collective::{FlatWorstLink, HierarchicalNccl};
     use madmax_hw::catalog;
     use madmax_model::{LayerClass, ModelId};
     use madmax_parallel::{HierStrategy, ServeConfig, Strategy};
@@ -159,7 +173,16 @@ mod tests {
         plan: &Plan,
         workload: Workload,
     ) -> Result<IterationReport, PlanError> {
-        run_flat_default(model, cluster, plan, &workload)
+        run_flat_single_use(
+            model,
+            cluster,
+            plan,
+            workload,
+            &HierarchicalNccl,
+            UtilizationModel::Constant,
+            true,
+            &mut EngineScratch::new(),
+        )
     }
 
     #[test]

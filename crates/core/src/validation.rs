@@ -12,8 +12,29 @@ use madmax_hw::units::Seconds;
 use madmax_model::{ModelArch, ModelId};
 use madmax_parallel::{Plan, PlanError, Workload};
 
+use crate::collective::HierarchicalNccl;
+use crate::compute::UtilizationModel;
 use crate::metrics::IterationReport;
-use crate::perf::run_flat_default;
+use crate::perf::run_flat_single_use;
+use crate::sim::EngineScratch;
+
+/// Simulates the FSDP baseline of `model` pre-training on `sys` with the
+/// default cost models.
+fn fsdp_pretrain_report(
+    model: &ModelArch,
+    sys: &madmax_hw::ClusterSpec,
+) -> Result<IterationReport, PlanError> {
+    run_flat_single_use(
+        model,
+        sys,
+        &Plan::fsdp_baseline(model),
+        Workload::pretrain(),
+        &HierarchicalNccl,
+        UtilizationModel::Constant,
+        true,
+        &mut EngineScratch::new(),
+    )
+}
 
 /// Prediction accuracy as the paper reports it (in percent).
 pub fn accuracy_pct(measured: f64, predicted: f64) -> f64 {
@@ -87,10 +108,7 @@ pub mod reference {
 /// Propagates [`PlanError`] if the baseline mapping were infeasible
 /// (it is not).
 pub fn dlrm_a_production_report() -> Result<IterationReport, PlanError> {
-    let model = ModelId::DlrmA.build();
-    let sys = catalog::zionex_dlrm_system();
-    let plan = Plan::fsdp_baseline(&model);
-    run_flat_default(&model, &sys, &plan, &Workload::pretrain())
+    fsdp_pretrain_report(&ModelId::DlrmA.build(), &catalog::zionex_dlrm_system())
 }
 
 /// Simulates DLRM-B pre-training on the same platform.
@@ -99,10 +117,7 @@ pub fn dlrm_a_production_report() -> Result<IterationReport, PlanError> {
 ///
 /// Propagates [`PlanError`] if the baseline mapping were infeasible.
 pub fn dlrm_b_production_report() -> Result<IterationReport, PlanError> {
-    let model = ModelId::DlrmB.build();
-    let sys = catalog::zionex_dlrm_system();
-    let plan = Plan::fsdp_baseline(&model);
-    run_flat_default(&model, &sys, &plan, &Workload::pretrain())
+    fsdp_pretrain_report(&ModelId::DlrmB.build(), &catalog::zionex_dlrm_system())
 }
 
 /// Simulates LLaMA-70B pre-training on the 2048-GPU A100-80GB system.
@@ -112,9 +127,7 @@ pub fn dlrm_b_production_report() -> Result<IterationReport, PlanError> {
 /// Propagates [`PlanError`] if the baseline mapping were infeasible.
 pub fn llama_70b_report() -> Result<(ModelArch, IterationReport), PlanError> {
     let model = ModelId::Llama2.build();
-    let sys = catalog::llama_llm_system();
-    let plan = Plan::fsdp_baseline(&model);
-    let r = run_flat_default(&model, &sys, &plan, &Workload::pretrain())?;
+    let r = fsdp_pretrain_report(&model, &catalog::llama_llm_system())?;
     Ok((model, r))
 }
 

@@ -8,8 +8,7 @@
 //! simulated with the MAD-Max performance model, plus a calibrated
 //! host-side overhead model for the two cycle categories the device
 //! simulator cannot produce (exposed host-device memcpy and GPU idle from
-//! data ingestion / kernel-launch gaps). See DESIGN.md section 3 for why
-//! this substitution preserves the figure's derived quantities.
+//! data ingestion / kernel-launch gaps).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

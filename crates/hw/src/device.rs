@@ -34,7 +34,7 @@ impl PeakFlops {
 /// unidirectional** values, which is the quantity the collective bandwidth
 /// model consumes. Catalog constructors convert vendor figures (which quote
 /// NVLink-class links bidirectionally) once, at construction time; see
-/// `DESIGN.md` section 3 for the convention.
+/// the [`crate::catalog`] module docs for the convention.
 ///
 /// ```
 /// use madmax_hw::catalog;

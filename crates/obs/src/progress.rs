@@ -184,7 +184,7 @@ impl ProgressSink for JsonlSink {
 }
 
 /// Per-experiment elapsed-time accounting for multi-experiment runners
-/// (`run_all`): record each experiment's wall-clock, then print one
+/// (`madmax figures`): record each experiment's wall-clock, then print one
 /// aligned summary table.
 #[derive(Debug, Default)]
 pub struct ElapsedSummary {

@@ -31,7 +31,7 @@ use madmax_parallel::{Plan, PlanError, Workload};
 
 use madmax_core::collective::CollectiveModel;
 use madmax_core::compute::UtilizationModel;
-use madmax_core::{schedule_into, serve_stats_from, CostTable, EngineScratch, IterationReport};
+use madmax_core::{schedule_into, serve_stats_from, EngineScratch, IterationReport};
 
 use crate::schedule::{build_pipeline_trace_into, build_serve_trace_into};
 use crate::table::PipelineCostTable;
@@ -166,9 +166,9 @@ pub fn run_pipelined_cached(
 }
 
 /// Evaluates `plan` once through a single-use cost table priced for it
-/// alone: a [`CostTable`] evaluated by `madmax_core::run_flat_cached` for
-/// flat plans, a [`PipelineCostTable`] evaluated by
-/// [`run_pipelined_cached`] for plans with an active pipeline config.
+/// alone: `madmax_core::run_flat_single_use` for flat plans, a
+/// [`PipelineCostTable`] evaluated by [`run_pipelined_cached`] for plans
+/// with an active pipeline config.
 ///
 /// `analytic_serve` sets the table's closed-form decode switch. With it
 /// off, the full trace and its schedule are left in `scratch.trace` and
@@ -206,28 +206,23 @@ pub fn run_single_use(
         };
         run_pipelined_cached(&table, plan, scratch)
     } else {
-        let table = {
-            let _span = madmax_core::prof::span("price.flat");
-            let mut table = CostTable::new(
-                model,
-                cluster,
-                workload,
-                plan.options,
-                collectives,
-                utilization,
-            );
-            table.set_analytic_serve(analytic_serve);
-            table.ensure_plan(plan);
-            table
-        };
-        madmax_core::run_flat_cached(&table, plan, scratch)
+        madmax_core::run_flat_single_use(
+            model,
+            cluster,
+            plan,
+            workload,
+            collectives,
+            utilization,
+            analytic_serve,
+            scratch,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use madmax_core::HierarchicalNccl;
+    use madmax_core::{CostTable, HierarchicalNccl};
     use madmax_hw::catalog;
     use madmax_model::ModelId;
     use madmax_parallel::{PipelineConfig, ServeConfig};
@@ -272,8 +267,16 @@ mod tests {
         let model = ModelId::DlrmA.build();
         let sys = catalog::zionex_dlrm_system();
         let plan = Plan::fsdp_baseline(&model);
-        let flat =
-            madmax_core::run_flat_default(&model, &sys, &plan, &Workload::pretrain()).unwrap();
+        let mut table = CostTable::new(
+            &model,
+            &sys,
+            Workload::pretrain(),
+            plan.options,
+            &HierarchicalNccl,
+            UtilizationModel::Constant,
+        );
+        table.ensure_plan(&plan);
+        let flat = madmax_core::run_flat_cached(&table, &plan, &mut EngineScratch::new()).unwrap();
         let piped = simulate(&model, &sys, &plan, Workload::pretrain()).unwrap();
         assert_eq!(flat, piped);
         assert!(piped.bubble_fraction.is_none());
@@ -284,8 +287,17 @@ mod tests {
         let model = ModelId::Llama2.build();
         let sys = catalog::llama_llm_system();
         let plan = Plan::fsdp_baseline(&model).with_pipeline(PipelineConfig::gpipe(8, 16));
-        let err =
-            madmax_core::run_flat_default(&model, &sys, &plan, &Workload::pretrain()).unwrap_err();
+        let err = madmax_core::run_flat_single_use(
+            &model,
+            &sys,
+            &plan,
+            Workload::pretrain(),
+            &HierarchicalNccl,
+            UtilizationModel::Constant,
+            true,
+            &mut EngineScratch::new(),
+        )
+        .unwrap_err();
         assert!(
             matches!(err, PlanError::PipelinedPlan { stages: 8 }),
             "{err}"

@@ -255,3 +255,33 @@ fn cli_rejects_unknown_flags() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert_eq!(stderr.trim(), "error: unknown flag --arival-rate");
 }
+
+#[test]
+fn cli_figures_runs_selected_experiments() {
+    let out = madmax(&["figures", "--only", "table1", "--threads", "1"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        stdout,
+        format!("{}\n", madmax_bench::experiments::tables::table1()),
+        "stdout holds exactly the Table I report"
+    );
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let ran: Vec<&str> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix(">>> "))
+        .collect();
+    assert_eq!(ran, ["table1_validation"], "{stderr}");
+
+    // An empty selection must not succeed silently.
+    let out = madmax(&["figures", "--only", "no-such-figure"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "nothing ran: {out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.starts_with("error: "), "{stderr}");
+
+    let out = madmax(&["figures", "--bogus"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown flag"), "{stderr}");
+}

@@ -1,8 +1,8 @@
-//! Golden digests of every table/figure experiment: each report `run_all`
-//! writes to `results/<name>.txt` is reduced to one FNV-1a 64-bit hash
-//! and compared against the committed `tests/golden/figures.txt`. Engine
-//! refactors that promise byte-identical reports are held to it here,
-//! by `cargo test`.
+//! Golden digests of every table/figure experiment: each report
+//! `madmax figures` writes to `results/<name>.txt` is reduced to one
+//! FNV-1a 64-bit hash and compared against the committed
+//! `tests/golden/figures.txt`. Engine refactors that promise
+//! byte-identical reports are held to it here, by `cargo test`.
 //!
 //! Re-bless after an intentional output change with
 //! `MADMAX_BLESS=1 cargo test -p madmax-bench --test figure_digests`.
