@@ -68,12 +68,12 @@
 //!
 //! - `--emit-trace PATH` (simulate, search): write the simulated schedule
 //!   as Chrome trace-event JSON — open it at <https://ui.perfetto.dev>.
-//!   `search` exports its winner's schedule; built with the
-//!   `self-profile` feature, the explorer's own price/assemble/report
-//!   spans land in the same file as a second process.
+//!   `search` exports its winner's schedule.
 //! - `--telemetry PATH` (search): write the search's
 //!   [`madmax_obs::SearchTelemetry`] (outcome counters, cache hit rates,
-//!   per-worker throughput, latency histogram) as JSON.
+//!   per-worker throughput, latency histogram, and the host time per
+//!   phase — price, assemble, schedule, report, steady, load events,
+//!   goodput, verify) as JSON.
 //! - `--progress N` (search): print a progress line every N candidates.
 //! - `--verify` (simulate, search): run the full `madmax-verify` rule
 //!   set on the produced (simulate) or winning (search) schedule; any
@@ -87,16 +87,18 @@
 //!
 //! The `figures` subcommand runs the paper's table/figure experiments
 //! ([`madmax_bench::experiments::all`]) in order, prints each report and
-//! writes it to `results/<name>.txt`, then prints a per-experiment
-//! elapsed-time table on stderr and spools every search's telemetry to
-//! `results/telemetry.json`. `--only SUBSTR` runs the experiments whose
+//! writes it to `results/<name>.txt` under the current directory, then
+//! prints a per-experiment elapsed-time table on stderr and spools every
+//! search's telemetry to `results/telemetry.json`; a file it cannot write
+//! fails the command. `--only SUBSTR` runs the experiments whose
 //! name contains `SUBSTR`; `--threads`, `--progress` and `--verify` reach
 //! every search the experiments run.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::process::ExitCode;
 
-use madmax_bench::{emit, experiments, SearchHooks};
+use madmax_bench::{experiments, SearchHooks};
 use madmax_core::config::{ExperimentSpec, SimulationConfig};
 use madmax_core::steady::grid_units_round;
 use madmax_dse::{Explorer, FaultAxes, LoadAxes, SearchSpace};
@@ -106,8 +108,8 @@ use madmax_hw::units::Seconds;
 use madmax_hw::{catalog, ClusterSpec};
 use madmax_model::{LayerClass, ModelArch, ModelId};
 use madmax_obs::{
-    forward_to_sink, ChromeTrace, ElapsedSummary, LoadTelemetry, ProgressSink, StderrTicker,
-    TelemetrySpool,
+    forward_to_sink, ChromeTrace, ElapsedSummary, LoadTelemetry, ProgressSink, SearchTelemetry,
+    StderrTicker, TelemetrySpool,
 };
 use madmax_parallel::{HierStrategy, LoadSpec, Plan, ServeConfig, Workload};
 use madmax_serve::parse_request_jsonl;
@@ -658,8 +660,8 @@ fn build_plan(model: &ModelArch, args: &Args) -> Result<Plan, String> {
     Ok(plan)
 }
 
-/// Exports a scenario's schedule (plus any recorded self-profile spans)
-/// as Chrome trace-event JSON.
+/// Exports a scenario's simulated schedule as Chrome trace-event JSON.
+/// The model's own host time is not in it: `--telemetry` carries that.
 fn emit_trace(
     model: &ModelArch,
     system: &ClusterSpec,
@@ -667,22 +669,29 @@ fn emit_trace(
     workload: &Workload,
     path: &str,
 ) -> Result<(), String> {
-    // Idempotent: the search arm switches recording on before exploring
-    // so the whole search is profiled; for a bare `simulate` this at
-    // least captures the export run itself. No-op without the
-    // `self-profile` feature.
-    madmax_core::prof::set_recording(true);
     let (_, trace, sched) = Scenario::new(model, system)
         .plan(plan.clone())
         .workload(workload.clone())
         .run_with_trace()
         .map_err(|e| e.to_string())?;
-    let mut chrome = ChromeTrace::from_schedule(&trace, &sched);
-    chrome.add_spans(&madmax_core::prof::take());
-    chrome
+    ChromeTrace::from_schedule(&trace, &sched)
         .write(path)
         .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
     eprintln!("trace written to {path} (open at https://ui.perfetto.dev)");
+    Ok(())
+}
+
+/// Prints a search's telemetry summary and, with `--telemetry PATH`,
+/// writes the whole telemetry there as JSON.
+fn write_telemetry(args: &Args, telemetry: &SearchTelemetry) -> Result<(), String> {
+    println!("telemetry: {}", telemetry.summary());
+    let Some(path) = args.get("telemetry") else {
+        return Ok(());
+    };
+    let js = serde_json::to_string_pretty(telemetry)
+        .map_err(|e| format!("telemetry does not serialize: {e}"))?;
+    std::fs::write(path, js).map_err(|e| format!("cannot write telemetry to {path}: {e}"))?;
+    eprintln!("telemetry written to {path}");
     Ok(())
 }
 
@@ -779,9 +788,11 @@ fn print_report(
 }
 
 /// `figures`: runs the table/figure experiments (those whose name
-/// contains `--only`, when given) in order, writing each report to
-/// `results/<name>.txt`, then prints the elapsed-time table and spools the
-/// searches' telemetry to `results/telemetry.json`.
+/// contains `--only`, when given) in order, printing each report and
+/// writing it to `results/<name>.txt` under the current directory, then
+/// prints the elapsed-time table and spools the searches' telemetry to
+/// `results/telemetry.json`. A file that cannot be written fails the
+/// command.
 fn run_figures(args: &Args) -> Result<(), String> {
     let threads =
         parse_num::<usize>(args, "threads")?.unwrap_or_else(madmax_bench::default_threads);
@@ -801,15 +812,20 @@ fn run_figures(args: &Args) -> Result<(), String> {
     if selected.is_empty() {
         return Err(format!("no experiment name contains `{only}`"));
     }
+    let dir = Path::new("results");
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let mut summary = ElapsedSummary::new();
     for (name, run) in selected {
         eprintln!(">>> {name}");
         let report = summary.run(name, run);
-        emit(name, &report);
+        println!("{report}");
+        let path = dir.join(format!("{name}.txt"));
+        std::fs::write(&path, &report)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     eprintln!("\n=== elapsed per experiment ===");
     eprint!("{}", summary.table());
-    let path = madmax_bench::results_dir().join("telemetry.json");
+    let path = dir.join("telemetry.json");
     spool
         .write(&path)
         .map_err(|e| format!("cannot write search telemetry to {}: {e}", path.display()))?;
@@ -938,11 +954,6 @@ fn run() -> Result<(), String> {
                         .map_err(|_| "--progress expects a number")
                 })
                 .transpose()?;
-            if args.get("emit-trace").is_some() {
-                // With the `self-profile` feature compiled in, record the
-                // engine's price/assemble/report spans into the trace.
-                madmax_core::prof::set_recording(true);
-            }
             let mut explorer = Explorer::new(&model, &system)
                 .workload(workload)
                 .space(space)
@@ -973,14 +984,7 @@ fn run() -> Result<(), String> {
                     r.candidates.len(),
                     r.evaluated
                 );
-                println!("telemetry: {}", r.telemetry.summary());
-                if let Some(path) = args.get("telemetry") {
-                    let js = serde_json::to_string_pretty(&r.telemetry)
-                        .map_err(|e| format!("telemetry does not serialize: {e}"))?;
-                    std::fs::write(path, js)
-                        .map_err(|e| format!("cannot write telemetry to {path}: {e}"))?;
-                    eprintln!("telemetry written to {path}");
-                }
+                write_telemetry(&args, &r.telemetry)?;
                 let best = r.best();
                 println!("goodput-best: {}", best.plan.summary());
                 if let Some(i) = best.best_point {
@@ -1042,14 +1046,7 @@ fn run() -> Result<(), String> {
             }
             let r = explorer.explore().map_err(|e| e.to_string())?;
             println!("evaluated {} plans ({} OOM)", r.evaluated, r.oom);
-            println!("telemetry: {}", r.telemetry.summary());
-            if let Some(path) = args.get("telemetry") {
-                let js = serde_json::to_string_pretty(&r.telemetry)
-                    .map_err(|e| format!("telemetry does not serialize: {e}"))?;
-                std::fs::write(path, js)
-                    .map_err(|e| format!("cannot write telemetry to {path}: {e}"))?;
-                eprintln!("telemetry written to {path}");
-            }
+            write_telemetry(&args, &r.telemetry)?;
             if let Some(path) = args.get("emit-trace") {
                 emit_trace(&model, &system, &r.best_plan, &r.best_workload, path)?;
             }

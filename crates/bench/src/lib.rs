@@ -19,23 +19,6 @@ pub mod experiments;
 pub use cli::SearchHooks;
 pub use corpus::{fault_corpus, verify_corpus, FaultScenario, VerifyScenario};
 
-use std::fs;
-use std::path::PathBuf;
-
-/// Directory where experiment outputs are persisted.
-pub fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// Prints an experiment's report and saves it to `results/<name>.txt`.
-pub fn emit(name: &str, content: &str) {
-    println!("{content}");
-    let dir = results_dir();
-    if fs::create_dir_all(&dir).is_ok() {
-        let _ = fs::write(dir.join(format!("{name}.txt")), content);
-    }
-}
-
 /// The default worker-pool size for DSE-heavy experiments: all available
 /// cores.
 pub fn default_threads() -> usize {

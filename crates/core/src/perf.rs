@@ -23,6 +23,8 @@
 //! Release builds skip the check entirely; the full structural rule set
 //! with non-panicking diagnostics is `madmax-verify`.
 
+use std::time::Instant;
+
 use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
 use madmax_parallel::{Plan, PlanError, Workload};
@@ -31,6 +33,7 @@ use crate::collective::CollectiveModel;
 use crate::compute::UtilizationModel;
 use crate::costs::CostTable;
 use crate::metrics::IterationReport;
+use crate::prof::Phase;
 use crate::sim::{schedule_into, EngineScratch};
 
 /// This engine executes the flat SPMD mapping only; plans that configure
@@ -51,7 +54,8 @@ fn reject_pipelined(plan: &Plan) -> Result<(), PlanError> {
 /// `scratch` are recycled across calls. Serve workloads with long decode
 /// streams take the closed-form steady-state path ([`crate::steady`])
 /// when the table allows it; otherwise the full trace and its schedule
-/// are left in `scratch.trace` and `scratch.sched`.
+/// are left in `scratch.trace` and `scratch.sched`. The host time of each
+/// phase run is added to `scratch.phases`.
 ///
 /// # Errors
 ///
@@ -71,6 +75,7 @@ pub fn run_flat_cached(
 ) -> Result<IterationReport, PlanError> {
     reject_pipelined(plan)?;
     let memory = table.memory_for(plan)?;
+    let mut t = Instant::now();
     // Closed-form serve path: assemble only the prefill + transient
     // tokens and synthesize the report (bit-identical to the full
     // simulation below; see `crate::steady`). Falls through on any
@@ -78,20 +83,21 @@ pub fn run_flat_cached(
     if table.analytic_serve() {
         if let Some(dims) = table.serve_dims() {
             if dims.decode_len >= crate::steady::MIN_ANALYTIC_DECODE {
-                let _span = crate::prof::span("steady.flat");
                 table.assemble_serve_prefix_into(
                     plan,
                     &mut scratch.trace,
                     crate::steady::EXPLICIT_TOKENS,
                 );
-                if let Some(report) = crate::steady::evaluate_serve_prefix(
+                let report = crate::steady::evaluate_serve_prefix(
                     &scratch.trace,
                     crate::steady::EXPLICIT_TOKENS,
                     &dims,
                     table.report_model(),
                     memory,
                     &mut scratch.steady,
-                ) {
+                );
+                t = scratch.phases.record(Phase::Steady, t);
+                if let Some(report) = report {
                     table.analytic_counters().hit();
                     return Ok(report);
                 }
@@ -101,15 +107,10 @@ pub fn run_flat_cached(
     if table.serve_dims().is_some() {
         table.analytic_counters().miss();
     }
-    {
-        let _span = crate::prof::span("assemble.flat");
-        table.assemble_into(plan, &mut scratch.trace);
-        schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
-    }
-    if cfg!(debug_assertions) {
-        crate::sim::debug_check_schedule(&scratch.trace, &scratch.sched);
-    }
-    let _span = crate::prof::span("report.flat");
+    table.assemble_into(plan, &mut scratch.trace);
+    let t = scratch.phases.record(Phase::Assemble, t);
+    schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
+    let t = scratch.phases.record(Phase::Schedule, t);
     let mut report = IterationReport::from_schedule_in(
         &scratch.trace,
         &scratch.sched,
@@ -118,6 +119,10 @@ pub fn run_flat_cached(
         &mut scratch.report,
     );
     report.serve = table.serve_stats(&scratch.trace, &scratch.sched);
+    scratch.phases.record(Phase::Report, t);
+    if cfg!(debug_assertions) {
+        crate::sim::debug_check_schedule(&scratch.trace, &scratch.sched);
+    }
     Ok(report)
 }
 
@@ -142,20 +147,18 @@ pub fn run_flat_single_use(
     analytic_serve: bool,
     scratch: &mut EngineScratch,
 ) -> Result<IterationReport, PlanError> {
-    let table = {
-        let _span = crate::prof::span("price.flat");
-        let mut table = CostTable::new(
-            model,
-            cluster,
-            workload,
-            plan.options,
-            collectives,
-            utilization,
-        );
-        table.set_analytic_serve(analytic_serve);
-        table.ensure_plan(plan);
-        table
-    };
+    let t = Instant::now();
+    let mut table = CostTable::new(
+        model,
+        cluster,
+        workload,
+        plan.options,
+        collectives,
+        utilization,
+    );
+    table.set_analytic_serve(analytic_serve);
+    table.ensure_plan(plan);
+    scratch.phases.record(Phase::Price, t);
     run_flat_cached(&table, plan, scratch)
 }
 

@@ -1,186 +1,180 @@
-//! Feature-gated self-profiling spans around the engine's own phases.
+//! The phase ledger: where the model's own host time goes.
 //!
-//! The simulator profiles *simulated* time; this module profiles the
-//! simulator itself. Call sites wrap a phase in a guard —
+//! The simulator models *simulated* time; this module accounts for the
+//! simulator itself. Host time is split into a fixed set of [`Phase`]s,
+//! and a [`PhaseLedger`] keeps one `(count, ns)` pair per phase. Every
+//! [`crate::EngineScratch`] carries one, so the engines time their phases
+//! into the caller's buffers: a search worker, which already owns its
+//! scratch, owns its ledger too — no lock, no global, always on.
+//!
+//! A phase boundary costs one clock read: [`PhaseLedger::record`] returns
+//! the instant it read, which starts the next phase.
 //!
 //! ```
-//! let _span = madmax_core::prof::span("price.flat");
-//! // ... priced here ...
+//! use std::time::Instant;
+//! use madmax_core::prof::{Phase, PhaseLedger};
+//!
+//! let mut ledger = PhaseLedger::default();
+//! let t = Instant::now();
+//! // ... assemble the trace ...
+//! let t = ledger.record(Phase::Assemble, t);
+//! // ... schedule it ...
+//! ledger.record(Phase::Schedule, t);
+//! assert_eq!(ledger[Phase::Assemble].count, 1);
+//! assert_eq!(ledger[Phase::Report].count, 0);
 //! ```
 //!
-//! — and, when the `self-profile` cargo feature is enabled *and*
-//! recording is switched on at runtime ([`set_recording`]), each guard
-//! appends a [`SpanRecord`] (wall-clock start, duration, thread) to a
-//! process-global buffer drained by [`take`]. `madmax-obs` exports the
-//! drained records into the same Chrome trace JSON as the simulated
-//! schedule, so the explorer's price/assemble/report wall-clock profile
-//! is viewable next to the simulated timeline in Perfetto.
-//!
-//! Without the feature the guard is a zero-sized type with an empty
-//! `Drop`, [`take`] always returns an empty vector, and the optimizer
-//! removes every call — the hot evaluation paths cost nothing. The
-//! [`SpanRecord`] type itself is available unconditionally so consumers
-//! never need `cfg` at call sites.
+//! `madmax_dse::Explorer` folds its workers' ledgers, and the phases it
+//! times on the calling thread, into `SearchTelemetry::phases`, which
+//! `madmax search --telemetry` writes as an object keyed by
+//! [`Phase::name`].
 
-use serde::{Deserialize, Serialize};
+use std::ops::Index;
+use std::time::Instant;
 
-/// One recorded span: a named phase on one thread, in microseconds since
-/// the first span of the process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanRecord {
-    /// Phase name, e.g. `"price.flat"` or `"assemble.pipeline"`.
-    pub name: String,
-    /// Start offset in microseconds from the process profiling epoch.
-    pub start_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
-    /// Dense per-process thread index (0 = first thread that recorded).
-    pub thread: u64,
+use serde::{Deserialize, Serialize, Value};
+
+/// A phase of the model's own host time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Pricing cost tables (up front in a search, or single-use).
+    Price,
+    /// Expanding priced costs into a trace.
+    Assemble,
+    /// Scheduling a trace onto its streams.
+    Schedule,
+    /// Building the iteration report from a schedule.
+    Report,
+    /// The closed-form steady-state decode (prefix assembly included).
+    Steady,
+    /// A load candidate's continuous-batching event simulations.
+    LoadEvents,
+    /// A goodput candidate's evaluation.
+    Goodput,
+    /// Re-running and verifying a search winner.
+    Verify,
 }
 
-#[cfg(feature = "self-profile")]
-mod imp {
-    use super::SpanRecord;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
+impl Phase {
+    /// Every phase, in ledger order.
+    pub const ALL: [Phase; 8] = [
+        Phase::Price,
+        Phase::Assemble,
+        Phase::Schedule,
+        Phase::Report,
+        Phase::Steady,
+        Phase::LoadEvents,
+        Phase::Goodput,
+        Phase::Verify,
+    ];
 
-    static RECORDING: AtomicBool = AtomicBool::new(false);
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    static SPANS: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
-    static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-
-    thread_local! {
-        static THREAD_INDEX: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn epoch() -> Instant {
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    pub fn set_recording(on: bool) {
-        if on {
-            epoch();
-        }
-        RECORDING.store(on, Ordering::Relaxed);
-    }
-
-    pub fn is_recording() -> bool {
-        RECORDING.load(Ordering::Relaxed)
-    }
-
-    pub fn take() -> Vec<SpanRecord> {
-        std::mem::take(&mut *SPANS.lock().unwrap())
-    }
-
-    /// RAII guard: records the span on drop.
-    #[derive(Debug)]
-    pub struct Span {
-        name: &'static str,
-        start: Option<Instant>,
-    }
-
-    pub fn span(name: &'static str) -> Span {
-        let start = is_recording().then(Instant::now);
-        Span { name, start }
-    }
-
-    impl Drop for Span {
-        fn drop(&mut self) {
-            let Some(start) = self.start else { return };
-            let dur_us = start.elapsed().as_secs_f64() * 1e6;
-            let start_us = start.duration_since(epoch()).as_secs_f64() * 1e6;
-            let thread = THREAD_INDEX.with(|t| *t);
-            SPANS.lock().unwrap().push(SpanRecord {
-                name: self.name.to_owned(),
-                start_us,
-                dur_us,
-                thread,
-            });
+    /// The phase's key in serialized telemetry.
+    pub const fn name(&self) -> &str {
+        match self {
+            Phase::Price => "price",
+            Phase::Assemble => "assemble",
+            Phase::Schedule => "schedule",
+            Phase::Report => "report",
+            Phase::Steady => "steady",
+            Phase::LoadEvents => "load_events",
+            Phase::Goodput => "goodput",
+            Phase::Verify => "verify",
         }
     }
 }
 
-#[cfg(not(feature = "self-profile"))]
-mod imp {
-    use super::SpanRecord;
+/// How often a phase ran and how long it took in total.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PhaseTime {
+    /// Times the phase ran.
+    pub count: u64,
+    /// Total host time, in nanoseconds.
+    pub ns: u64,
+}
 
-    pub fn set_recording(_on: bool) {}
+/// One [`PhaseTime`] per [`Phase`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PhaseLedger([PhaseTime; Phase::ALL.len()]);
 
-    pub fn is_recording() -> bool {
-        false
+impl PhaseLedger {
+    /// Records one run of `phase` that started at `since` and returns the
+    /// instant it ended (the start of whatever comes next).
+    pub fn record(&mut self, phase: Phase, since: Instant) -> Instant {
+        let now = Instant::now();
+        let entry = &mut self.0[phase as usize];
+        entry.count += 1;
+        entry.ns += u64::try_from((now - since).as_nanos()).unwrap_or(u64::MAX);
+        now
     }
 
-    pub fn take() -> Vec<SpanRecord> {
-        Vec::new()
+    /// Adds another ledger's counts and times into this one.
+    pub fn absorb(&mut self, other: &PhaseLedger) {
+        for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
+            mine.count += theirs.count;
+            mine.ns += theirs.ns;
+        }
     }
 
-    /// Zero-sized no-op guard (the `self-profile` feature is off).
-    #[derive(Debug)]
-    pub struct Span;
-
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> Span {
-        Span
+    /// Every phase with its entry, in [`Phase::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (Phase, PhaseTime)> + '_ {
+        Phase::ALL.into_iter().zip(self.0.iter().copied())
     }
 }
 
-/// Switches span recording on or off for the whole process. The first
-/// activation pins the profiling epoch all `start_us` offsets are
-/// measured from. No-op without the `self-profile` feature.
-pub fn set_recording(on: bool) {
-    imp::set_recording(on);
+impl Index<Phase> for PhaseLedger {
+    type Output = PhaseTime;
+
+    fn index(&self, phase: Phase) -> &PhaseTime {
+        &self.0[phase as usize]
+    }
 }
 
-/// Whether spans are currently being recorded (always `false` without
-/// the `self-profile` feature).
-pub fn is_recording() -> bool {
-    imp::is_recording()
+impl Serialize for PhaseLedger {
+    fn to_value(&self) -> Value {
+        Value::Map(
+            self.iter()
+                .map(|(phase, time)| (phase.name().to_owned(), time.to_value()))
+                .collect(),
+        )
+    }
 }
 
-/// Drains every span recorded so far (empty without the feature).
-pub fn take() -> Vec<SpanRecord> {
-    imp::take()
+impl Deserialize for PhaseLedger {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::Error::msg("expected a phase object"))?;
+        let mut ledger = PhaseLedger::default();
+        for (phase, entry) in Phase::ALL.into_iter().zip(&mut ledger.0) {
+            *entry = PhaseTime::from_value(serde::field(m, phase.name())?)?;
+        }
+        Ok(ledger)
+    }
 }
-
-/// Opens a span guard; the span is recorded when the guard drops.
-pub fn span(name: &'static str) -> imp::Span {
-    imp::span(name)
-}
-
-pub use imp::Span;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "self-profile"))]
     #[test]
-    fn disabled_profile_records_nothing() {
-        set_recording(true);
-        {
-            let _s = span("test.phase");
-        }
-        assert!(!is_recording());
-        assert!(take().is_empty());
-        set_recording(false);
-    }
+    fn ledger_counts_times_and_round_trips() {
+        let mut a = PhaseLedger::default();
+        let t = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let t = a.record(Phase::Assemble, t);
+        a.record(Phase::Schedule, t);
+        assert_eq!(a[Phase::Assemble].count, 1);
+        assert!(a[Phase::Assemble].ns >= 1_000_000);
+        assert_eq!(a[Phase::Price], PhaseTime::default());
 
-    #[cfg(feature = "self-profile")]
-    #[test]
-    fn enabled_profile_records_spans() {
-        set_recording(true);
-        {
-            let _s = span("test.enabled");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        set_recording(false);
-        let spans = take();
-        let s = spans
-            .iter()
-            .find(|s| s.name == "test.enabled")
-            .expect("span recorded");
-        assert!(s.dur_us >= 1000.0);
-        assert!(s.start_us >= 0.0);
+        let mut b = a.clone();
+        b.absorb(&a);
+        assert_eq!(b[Phase::Schedule].count, 2);
+        assert_eq!(b[Phase::Assemble].ns, 2 * a[Phase::Assemble].ns);
+
+        let js = serde_json::to_string(&b).unwrap();
+        assert!(js.contains("\"load_events\""), "{js}");
+        let back: PhaseLedger = serde_json::from_str(&js).unwrap();
+        assert_eq!(back, b);
     }
 }

@@ -197,9 +197,10 @@ pub struct ReportMemo {
 }
 
 /// Reusable evaluation buffers: one trace arena, one schedule, and one
-/// stream-slot table. A design-space-exploration worker thread keeps one
-/// `EngineScratch` and evaluates every candidate through it, so the
-/// per-candidate cost is the simulation itself — not allocator traffic.
+/// stream-slot table, plus the ledger the engines time their phases into.
+/// A design-space-exploration worker thread keeps one `EngineScratch` and
+/// evaluates every candidate through it, so the per-candidate cost is the
+/// simulation itself — not allocator traffic.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
     /// Trace arena, cleared (capacity retained) per candidate.
@@ -212,6 +213,9 @@ pub struct EngineScratch {
     pub report: crate::metrics::ReportScratch,
     /// Closed-form serve evaluation buffers (see [`crate::steady`]).
     pub steady: crate::steady::SteadyScratch,
+    /// Host time per engine phase, accumulated across candidates (see
+    /// [`crate::prof`]).
+    pub phases: crate::prof::PhaseLedger,
 }
 
 impl EngineScratch {

@@ -9,6 +9,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use madmax_core::prof::{Phase, PhaseLedger};
 use madmax_core::IterationReport;
 use madmax_engine::{EngineError, EngineScratch, Scenario};
 use madmax_hw::ClusterSpec;
@@ -55,6 +56,8 @@ fn classify<X>(result: &Result<X, EngineError>) -> CandidateOutcome {
 struct WorkerLocal {
     stats: WorkerStats,
     latency: LatencyHistogram,
+    /// The phase ledger of the worker's scratch, taken when it finishes.
+    phases: PhaseLedger,
 }
 
 /// Distinct layer classes present in a model, in first-appearance order.
@@ -217,13 +220,6 @@ impl SearchSpace {
     #[must_use]
     pub fn unconstrained(mut self) -> Self {
         self.ignore_memory_limits = true;
-        self
-    }
-
-    /// Enables (or disables) the per-class strategy axes.
-    #[must_use]
-    pub fn with_strategies(mut self, on: bool) -> Self {
-        self.search_strategies = on;
         self
     }
 }
@@ -523,6 +519,10 @@ impl<'a> Explorer<'a> {
     /// cannot share a pricing context; they price per plan instead. The
     /// progress sink sees one event per candidate, indexed across all
     /// batches, and the telemetry once at the end.
+    ///
+    /// The telemetry's phase ledger folds the ledgers `eval` filled in
+    /// the workers' scratch buffers with the up-front pricing, timed on
+    /// the calling thread.
     pub(crate) fn run_pipeline<'b, X: IterationTime>(
         &self,
         batches: &[(&'b Workload, &'b [Plan])],
@@ -537,12 +537,16 @@ impl<'a> Explorer<'a> {
         for &(workload, plans) in batches {
             let scenario = Scenario::new(self.model, self.system).workload_ref(workload);
             let priced = priced && plans.windows(2).all(|w| w[0].options == w[1].options);
+            let t = Instant::now();
             let table = priced.then(|| scenario.price_plans(plans));
             let pipeline_table = (priced
                 && plans
                     .iter()
                     .any(|p| p.pipeline.is_some_and(|c| c.is_pipelined())))
             .then(|| scenario.price_pipeline_plans(plans));
+            if priced {
+                telemetry.phases.record(Phase::Price, t);
+            }
             let offset = evaluated.len();
             // Evaluates plan `i`, accounting it worker-locally and firing
             // the progress event from the evaluating thread.
@@ -576,6 +580,7 @@ impl<'a> Explorer<'a> {
             for local in locals {
                 batch.eval_latency.absorb(&local.latency);
                 batch.workers.push(local.stats);
+                batch.phases.absorb(&local.phases);
             }
             if let Some(t) = &table {
                 batch.flat_cache = t.stats();
@@ -606,7 +611,8 @@ impl<'a> Explorer<'a> {
     /// Runs `job(i, ..)` for every `i < jobs` on the worker pool (worker 0
     /// on the calling thread), each worker recycling one
     /// [`EngineScratch`]. Returns the results in index order and each
-    /// worker's locally accumulated stats, in worker order.
+    /// worker's locally accumulated stats and phase ledger, in worker
+    /// order.
     fn pool<R: Send>(
         &self,
         jobs: usize,
@@ -625,6 +631,7 @@ impl<'a> Explorer<'a> {
                 }
                 done.push((i, job(i, &mut scratch, &mut local)));
             }
+            local.phases = scratch.phases;
             (done, local)
         };
         let per_worker: Vec<_> = std::thread::scope(|s| {
@@ -732,12 +739,14 @@ impl<'a> Explorer<'a> {
         }
 
         let verify = if self.verify_winner {
+            let t = Instant::now();
             let (_, trace, sched) = Scenario::new(self.model, self.system)
                 .plan_ref(best_plan)
                 .workload_ref(best_workload)
                 .run_with_trace()?;
             let report =
                 madmax_verify::Verifier::for_plan(best_plan, best_workload).verify(&trace, &sched);
+            telemetry.phases.record(Phase::Verify, t);
             telemetry.verify_errors += report.error_count() as u64;
             telemetry.verify_warnings += report.warning_count() as u64;
             Some(report)
@@ -1140,5 +1149,66 @@ mod tests {
             );
             assert_eq!(t.eval_latency.count, t.candidates);
         }
+    }
+
+    /// Checks that exactly the `worker` and `caller` phases were timed,
+    /// that the worker phases fit in the workers' summed busy time, and
+    /// the calling-thread phases in the search's wall time.
+    fn check_phases(t: &SearchTelemetry, worker: &[Phase], caller: &[Phase]) {
+        for (phase, time) in t.phases.iter() {
+            let ran = worker.contains(&phase) || caller.contains(&phase);
+            assert_eq!(time.count > 0, ran, "{}: {time:?}", phase.name());
+        }
+        let ms =
+            |phases: &[Phase]| -> f64 { phases.iter().map(|&p| t.phases[p].ns as f64 / 1e6).sum() };
+        let busy: f64 = t.workers.iter().map(|w| w.busy_ms).sum();
+        assert!(ms(worker) <= busy, "{} ms > busy {busy} ms", ms(worker));
+        assert!(
+            ms(caller) <= t.wall_ms,
+            "{} ms > wall {} ms",
+            ms(caller),
+            t.wall_ms
+        );
+    }
+
+    #[test]
+    fn every_search_times_its_phases() {
+        use crate::{FaultAxes, LoadAxes};
+        use madmax_engine::FaultSpec;
+        use madmax_parallel::LoadSpec;
+        use Phase::{Assemble, Goodput, LoadEvents, Price, Report, Schedule, Steady, Verify};
+
+        let model = ModelId::Llama2.build();
+        let sys = catalog::llama_llm_system();
+        let explorer = || {
+            Explorer::new(&model, &sys)
+                .space(SearchSpace::strategies().with_classes(vec![LayerClass::Transformer]))
+                .threads(2)
+        };
+
+        let r = explorer().verify_winner(true).explore().unwrap();
+        check_phases(
+            &r.telemetry,
+            &[Assemble, Schedule, Report],
+            &[Price, Verify],
+        );
+
+        // Long decode streams take the closed form.
+        let serve = Workload::serve(ServeConfig::new(256, 64).with_decode_batch(4));
+        let r = explorer().workload(serve.clone()).explore().unwrap();
+        check_phases(&r.telemetry, &[Steady], &[Price]);
+
+        let g = explorer()
+            .explore_goodput(&FaultAxes::new(FaultSpec::fatal(3600.0, 60.0, 7)))
+            .unwrap();
+        check_phases(&g.telemetry, &[Goodput], &[Price]);
+
+        let sink = CountingSink::default();
+        explorer()
+            .workload(serve)
+            .progress(&sink)
+            .explore_load(&LoadAxes::new(LoadSpec::poisson(0.05, 8, 3), [0.05]))
+            .unwrap();
+        check_phases(&sink.only_telemetry(), &[Price, LoadEvents], &[]);
     }
 }

@@ -13,6 +13,9 @@
 //! goodput-optimal plan diverges from the latency-optimal one — exactly
 //! the failure-awareness the fault-free explorer cannot see.
 
+use std::time::Instant;
+
+use madmax_core::prof::Phase;
 use madmax_engine::{EngineError, FaultSpec, GoodputOutcome, GoodputReport};
 use madmax_fault::expected_goodput;
 use madmax_hw::units::Seconds;
@@ -181,8 +184,12 @@ impl Explorer<'_> {
         let variants = self.workload_variants();
         let plans = self.candidates();
         let batches: Vec<_> = variants.iter().map(|w| (w, plans.as_slice())).collect();
-        let (evaluated, mut telemetry) =
-            self.run_pipeline(&batches, true, |s, _| s.goodput(&first));
+        let (evaluated, mut telemetry) = self.run_pipeline(&batches, true, |s, scratch| {
+            let t = Instant::now();
+            let outcome = s.goodput(&first);
+            scratch.phases.record(Phase::Goodput, t);
+            outcome
+        });
         let candidates: Vec<GoodputCandidate> = evaluated
             .into_iter()
             .map(|(workload, plan, result)| {

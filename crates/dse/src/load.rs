@@ -13,7 +13,9 @@
 //! counterpart of the paper's iteration-time sweeps).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
+use madmax_core::prof::Phase;
 use madmax_engine::{EngineError, SimMode};
 use madmax_hw::units::Seconds;
 use madmax_parallel::{ArrivalSpec, LoadSpec, Plan, Workload};
@@ -202,12 +204,15 @@ impl Explorer<'_> {
         let plans = self.candidates();
         let batches: Vec<_> = variants.iter().map(|w| (w, plans.as_slice())).collect();
         let simulations = AtomicUsize::new(0);
-        let (evaluated, _) = self.run_pipeline(&batches, false, |s, _| {
+        let (evaluated, _) = self.run_pipeline(&batches, false, |s, scratch| {
             // Request shapes are rate-independent, so one cost model
             // serves the whole sweep. A run leaving the exact grid fails
             // this candidate only, like a pricing error.
-            let costs = s.price_load(&sweep[0].1)?;
-            sweep
+            let t = Instant::now();
+            let costs = s.price_load(&sweep[0].1);
+            let t = scratch.phases.record(Phase::Price, t);
+            let costs = costs?;
+            let points = sweep
                 .iter()
                 .map(|(rate, spec)| {
                     let report = s
@@ -222,7 +227,9 @@ impl Explorer<'_> {
                         report,
                     })
                 })
-                .collect()
+                .collect();
+            scratch.phases.record(Phase::LoadEvents, t);
+            points
         });
         let candidates: Vec<LoadCandidate> = evaluated
             .into_iter()

@@ -236,7 +236,6 @@ impl<'a> Scenario<'a> {
     /// All plans must share the same pricing-relevant options
     /// (`activation_checkpointing`, `collective_dtype`); this is asserted.
     pub fn price_plans(&self, plans: &[Plan]) -> CostTable<'a> {
-        let _span = madmax_core::prof::span("price.flat");
         let options = plans
             .first()
             .map_or_else(|| self.effective_plan().options, |p| p.options);
@@ -264,7 +263,6 @@ impl<'a> Scenario<'a> {
     /// All plans must share the same pricing-relevant options; this is
     /// asserted.
     pub fn price_pipeline_plans(&self, plans: &[Plan]) -> PipelineCostTable<'a> {
-        let _span = madmax_core::prof::span("price.pipeline");
         let options = plans
             .first()
             .map_or_else(|| self.effective_plan().options, |p| p.options);

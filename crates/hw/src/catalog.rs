@@ -10,7 +10,7 @@
 //! are interpreted as Gbps NIC rates ("1.8TBps" SuperPOD = 1.8 Tbps,
 //! "400GBps" MI300X = 400 Gbps, "300GBps" Gaudi2 = 300 Gbps).
 
-use crate::cluster::{ClusterSpec, FabricKind, Utilization};
+use crate::cluster::{ClusterSpec, FabricKind};
 use crate::device::{DeviceSpec, PeakFlops};
 use crate::units::{ByteCount, BytesPerSec, FlopsPerSec};
 
@@ -213,17 +213,6 @@ pub fn gaudi2_cluster() -> ClusterSpec {
         FabricKind::EthRdmaScaleUp,
         FabricKind::RoCE,
     )
-}
-
-/// Utilization factors calibrated against the paper's DLRM validation
-/// points (Table I / Fig. 7); see `madmax-core/src/validation.rs`.
-pub fn calibrated_dlrm_utilization() -> Utilization {
-    Utilization {
-        compute: 0.70,
-        hbm: 0.80,
-        ring_collective: 0.80,
-        all_to_all: 0.70,
-    }
 }
 
 /// One row of Table IV exactly as printed in the paper (datasheet strings,

@@ -163,20 +163,6 @@ impl ClusterSpec {
         }
     }
 
-    /// Replaces the utilization factors (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any factor is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_utilization(mut self, utilization: Utilization) -> Self {
-        utilization
-            .validate()
-            .expect("utilization factors in range");
-        self.utilization = utilization;
-        self
-    }
-
     /// Replaces the node count (builder-style), e.g. to compare 8- vs
     /// 128-GPU deployments of the same platform (Fig. 7).
     #[must_use]

@@ -161,16 +161,10 @@ unit_newtype!(
     "B/s"
 );
 
-pub(crate) const KIB: f64 = 1024.0;
 pub(crate) const MIB: f64 = 1024.0 * 1024.0;
 pub(crate) const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
 impl FlopCount {
-    /// Constructs from mega-FLOPs (1e6).
-    pub fn from_mflops(v: f64) -> Self {
-        Self(v * 1e6)
-    }
-
     /// Constructs from giga-FLOPs (1e9).
     pub fn from_gflops(v: f64) -> Self {
         Self(v * 1e9)
@@ -185,27 +179,12 @@ impl FlopCount {
     pub fn as_gflops(self) -> f64 {
         self.0 / 1e9
     }
-
-    /// Value expressed in mega-FLOPs.
-    pub fn as_mflops(self) -> f64 {
-        self.0 / 1e6
-    }
 }
 
 impl ByteCount {
-    /// Constructs from kibibytes (1024 B).
-    pub fn from_kib(v: f64) -> Self {
-        Self(v * KIB)
-    }
-
     /// Constructs from mebibytes (1024^2 B).
     pub fn from_mib(v: f64) -> Self {
         Self(v * MIB)
-    }
-
-    /// Constructs from gibibytes (1024^3 B).
-    pub fn from_gib(v: f64) -> Self {
-        Self(v * GIB)
     }
 
     /// Constructs from decimal gigabytes (1e9 B), the unit of GPU data sheets.
@@ -216,11 +195,6 @@ impl ByteCount {
     /// Constructs from decimal terabytes (1e12 B).
     pub fn from_tb(v: f64) -> Self {
         Self(v * 1e12)
-    }
-
-    /// Value in kibibytes.
-    pub fn as_kib(self) -> f64 {
-        self.0 / KIB
     }
 
     /// Value in mebibytes.
@@ -255,16 +229,6 @@ impl Seconds {
         Self(v / 1e6)
     }
 
-    /// Constructs from hours.
-    pub fn from_hours(v: f64) -> Self {
-        Self(v * 3600.0)
-    }
-
-    /// Constructs from days.
-    pub fn from_days(v: f64) -> Self {
-        Self(v * 86_400.0)
-    }
-
     /// Value in seconds.
     pub fn as_secs(self) -> f64 {
         self.0
@@ -295,11 +259,6 @@ impl FlopsPerSec {
     /// Constructs from teraFLOP/s.
     pub fn from_tflops(v: f64) -> Self {
         Self(v * 1e12)
-    }
-
-    /// Constructs from petaFLOP/s.
-    pub fn from_pflops(v: f64) -> Self {
-        Self(v * 1e15)
     }
 
     /// Value in teraFLOP/s.

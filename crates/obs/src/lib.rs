@@ -14,8 +14,9 @@
 //! - [`telemetry`] — [`SearchTelemetry`]: per-outcome candidate counters,
 //!   cache hit/miss snapshots from the price→assemble fast paths
 //!   (`CostTable`, `PipelineCostTable`, the per-scratch report memo),
-//!   per-worker throughput, and an evaluation-latency histogram,
-//!   populated by `madmax_dse::Explorer` on every search.
+//!   per-worker throughput, an evaluation-latency histogram, and the
+//!   host time per phase, populated by `madmax_dse::Explorer` on every
+//!   search.
 //! - [`progress`] — the [`ProgressSink`] trait: live candidate-completed
 //!   events from a running search (no-op default, stderr ticker, JSONL
 //!   writer), the groundwork for a resident DSE service.
@@ -27,13 +28,14 @@
 //!
 //! # Telemetry sharing contract
 //!
-//! All hot-path instrumentation is a relaxed atomic increment on counters
+//! Hot-path cache instrumentation is a relaxed atomic increment on counters
 //! owned by the shared cost tables (`madmax_core::CacheCounters`), so the
 //! explorer's worker pool needs no locks and no per-worker merge step for
 //! cache stats; snapshots are taken after `thread::scope` joins, which
 //! provides the happens-before edge making the totals exact. Per-worker
-//! wall-clock and latency data are accumulated worker-locally and merged
-//! once at join. [`ProgressSink`] implementations must be `Sync`: one
+//! wall-clock, latency data and phase ledgers (one per worker's
+//! `EngineScratch`) are accumulated worker-locally and merged once at
+//! join. [`ProgressSink`] implementations must be `Sync`: one
 //! sink instance receives events concurrently from every worker, in
 //! completion order (which is nondeterministic — only the *set* of events
 //! is stable across runs).
@@ -48,7 +50,6 @@ pub mod telemetry;
 
 pub use load::{forward_to_sink, LoadTelemetry, RequestEvent};
 pub use madmax_core::counters::CacheStats;
-pub use madmax_core::prof::SpanRecord;
 pub use perfetto::{ChromeTrace, TraceEvent};
 pub use progress::{
     CandidateEvent, CandidateOutcome, ElapsedSummary, JsonlSink, NullSink, ProgressSink,

@@ -14,10 +14,10 @@
 //! - every **cross-stream** dependency becomes a flow arrow (`ph:"s"` at
 //!   the producer's finish, `ph:"f"` with `bp:"e"` at the consumer's
 //!   start) — same-stream deps are implicit in track order and would
-//!   only add noise;
-//! - self-profiling [`SpanRecord`]s (see [`madmax_core::prof`]) land in a
-//!   second process, so the explorer's own price/assemble/report
-//!   wall-clock sits next to the simulated timeline.
+//!   only add noise.
+//!
+//! The model's own host time is not part of the trace: it is in the
+//! search telemetry's phase ledger (see [`madmax_core::prof`]).
 //!
 //! Timestamps are microseconds (the format's native unit); the simulated
 //! schedule starts at `ts = 0`.
@@ -35,23 +35,20 @@
 use std::io::Write;
 use std::path::Path;
 
-use madmax_core::prof::SpanRecord;
 use madmax_core::{OpKind, Schedule, StreamId, Trace, TraceOp};
 use serde::{Deserialize, Serialize, Value};
 
 /// Process id of the simulated schedule's events.
 pub const SIMULATION_PID: u64 = 0;
-/// Process id of the explorer's self-profiling spans.
-pub const SELF_PROFILE_PID: u64 = 1;
 
 /// One trace event, covering the subset of the format this exporter
 /// emits: metadata (`M`), complete durations (`X`), and flow arrows
 /// (`s` / `f`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Event name (op display name, span name, or metadata key).
+    /// Event name, e.g. an op's display name or a metadata key.
     pub name: String,
-    /// Comma-free category tag, e.g. `"op"`, `"dep"`, `"prof"`.
+    /// Comma-free category tag, e.g. `"op"`, `"dep"`.
     pub cat: Option<String>,
     /// Phase tag: `"M"`, `"X"`, `"s"`, or `"f"`.
     pub ph: String,
@@ -61,7 +58,7 @@ pub struct TraceEvent {
     pub dur: Option<f64>,
     /// Process id.
     pub pid: u64,
-    /// Thread id (the stream's dense slot, or the profiling thread).
+    /// Thread id (a track within the process, e.g. a stream's dense slot).
     pub tid: u64,
     /// Flow-binding id shared by an `s`/`f` pair.
     pub id: Option<u64>,
@@ -191,8 +188,8 @@ fn op_args(op: &TraceOp) -> Vec<(String, Value)> {
     args
 }
 
-/// A Chrome trace-event file under construction: compose schedules and
-/// self-profiling spans, then [`ChromeTrace::write`] the JSON.
+/// A Chrome trace-event file under construction: compose schedules, then
+/// [`ChromeTrace::write`] the JSON.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChromeTrace {
     events: Vec<TraceEvent>,
@@ -319,48 +316,6 @@ impl ChromeTrace {
                 });
                 flow_id += 1;
             }
-        }
-    }
-
-    /// Adds self-profiling spans (see [`madmax_core::prof`]) as a second
-    /// process, one track per recording thread.
-    pub fn add_spans(&mut self, spans: &[SpanRecord]) {
-        if spans.is_empty() {
-            return;
-        }
-        self.events.push(TraceEvent::meta(
-            "process_name",
-            SELF_PROFILE_PID,
-            0,
-            vec![(
-                "name".to_owned(),
-                Value::Str("explorer self-profile".to_owned()),
-            )],
-        ));
-        let mut threads: Vec<u64> = spans.iter().map(|s| s.thread).collect();
-        threads.sort_unstable();
-        threads.dedup();
-        for t in threads {
-            self.events.push(TraceEvent::meta(
-                "thread_name",
-                SELF_PROFILE_PID,
-                t,
-                vec![("name".to_owned(), Value::Str(format!("thread{t}")))],
-            ));
-        }
-        for span in spans {
-            self.events.push(TraceEvent {
-                name: span.name.clone(),
-                cat: Some("prof".to_owned()),
-                ph: "X".to_owned(),
-                ts: Some(span.start_us),
-                dur: Some(span.dur_us),
-                pid: SELF_PROFILE_PID,
-                tid: span.thread,
-                id: None,
-                bp: None,
-                args: Vec::new(),
-            });
         }
     }
 

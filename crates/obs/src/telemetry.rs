@@ -13,11 +13,16 @@
 //!   atomic counters ([`madmax_core::CacheCounters`]), taken after the
 //!   worker pool joins;
 //! - **worker stats** and the **latency histogram** are accumulated
-//!   worker-locally (no contention) and merged at join.
+//!   worker-locally (no contention) and merged at join;
+//! - the **phase ledger** ([`SearchTelemetry::phases`]) folds the host
+//!   time each worker's engine runs recorded into its scratch buffers
+//!   with what the search timed on its calling thread (up-front pricing,
+//!   winner verification).
 
 use std::sync::Mutex;
 
 use madmax_core::counters::CacheStats;
+use madmax_core::prof::PhaseLedger;
 use serde::{Deserialize, Serialize, Value};
 
 /// Wall-clock and throughput of one worker thread of the pool.
@@ -130,6 +135,12 @@ pub struct SearchTelemetry {
     /// Fault events materialized or injected into simulations.
     #[serde(default)]
     pub fault_events: u64,
+    /// Host time by phase (price, assemble, schedule, report, steady,
+    /// load events, goodput, verify), serialized as an object keyed by
+    /// phase name. Worker phases fall inside the workers' `busy_ms`;
+    /// calling-thread phases (up-front pricing, verification) inside
+    /// `wall_ms`.
+    pub phases: PhaseLedger,
 }
 
 impl SearchTelemetry {
@@ -168,6 +179,7 @@ impl SearchTelemetry {
         self.verify_warnings += other.verify_warnings;
         self.goodput_evals += other.goodput_evals;
         self.fault_events += other.fault_events;
+        self.phases.absorb(&other.phases);
     }
 
     /// One-line human summary (the stderr ticker's final line).

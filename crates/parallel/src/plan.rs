@@ -331,13 +331,6 @@ impl Plan {
         self.pipeline.map_or(1, |p| p.stages)
     }
 
-    /// Replaces the options (builder-style).
-    #[must_use]
-    pub fn with_options(mut self, options: PlanOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// The strategy assigned to a class (FSDP if unassigned).
     pub fn strategy_for(&self, class: LayerClass) -> HierStrategy {
         self.assignments

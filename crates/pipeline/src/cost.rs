@@ -164,9 +164,9 @@ pub fn stage_model(model: &ModelArch, stage: &Stage, index: usize) -> ModelArch 
     }
 }
 
-/// The error [`stage_costs`] reports for a microbatch count that is zero
-/// or exceeds the global batch (shared with the cached path so the error
-/// value cannot drift).
+/// The error [`stage_costs_in`] reports for a microbatch count that is
+/// zero or exceeds the global batch (shared with the cost table so the
+/// error value cannot drift).
 pub fn microbatch_bounds(model: &ModelArch, microbatches: usize) -> Result<(), PlanError> {
     if microbatches == 0 || microbatches > model.global_batch {
         return Err(PlanError::InvalidPipeline {
@@ -179,19 +179,12 @@ pub fn microbatch_bounds(model: &ModelArch, microbatches: usize) -> Result<(), P
     Ok(())
 }
 
-/// Derives per-stage costs for `stages` of `model` under `plan`, with the
-/// global batch split into `microbatches`.
-///
-/// Derives the stage sub-cluster and per-stage sub-models itself; the
-/// evaluation hot path goes through [`stage_costs_in`] with cached ones
-/// instead.
-///
-/// # Errors
-///
-/// Returns [`PlanError::InvalidPipeline`] for indivisible device counts or
-/// a microbatch count exceeding the global batch.
-#[allow(clippy::too_many_arguments)] // the fresh-pricing reference the cost table is tested against
-pub fn stage_costs(
+/// [`stage_costs_in`] deriving the stage sub-cluster and per-stage
+/// sub-models itself: the fresh-pricing reference the cost table is tested
+/// against.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stage_costs(
     model: &ModelArch,
     cluster: &ClusterSpec,
     plan: &Plan,
@@ -227,13 +220,16 @@ pub fn stage_models(model: &ModelArch, stages: &[Stage]) -> Vec<ModelArch> {
         .collect()
 }
 
-/// [`stage_costs`] against a pre-derived stage sub-cluster and pre-built
-/// per-stage sub-models, so repeated pricing (one call per search key
-/// instead of one per candidate) clones no `ClusterSpec` or `ModelArch`.
+/// Derives per-stage costs for `stages` of `model` under `plan`, with the
+/// global batch split into `microbatches`, against a pre-derived stage
+/// sub-cluster and pre-built per-stage sub-models, so repeated pricing
+/// (one call per search key instead of one per candidate) clones no
+/// `ClusterSpec` or `ModelArch`.
 ///
 /// # Errors
 ///
-/// Same conditions as [`stage_costs`].
+/// Returns [`PlanError::InvalidPipeline`] for a microbatch count that is
+/// zero or exceeds the global batch.
 #[allow(clippy::too_many_arguments)] // internal plumbing of the cost table
 pub fn stage_costs_in(
     model: &ModelArch,

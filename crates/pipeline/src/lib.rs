@@ -108,8 +108,8 @@ pub mod schedule;
 pub mod sim;
 pub mod table;
 
-pub use cost::{stage_cluster, stage_costs, stage_costs_in, stage_models, StageCosts};
-pub use memory::{fold_pipeline_memory, pipeline_memory, stage_memory};
+pub use cost::{stage_cluster, stage_costs_in, stage_models, StageCosts};
+pub use memory::{fold_pipeline_memory, stage_memory};
 pub use partition::{partition_model, Stage, StageUnit};
 pub use schedule::{build_pipeline_trace, build_pipeline_trace_into, build_serve_trace_into};
 pub use sim::{run_pipelined_cached, run_single_use};

@@ -9,25 +9,18 @@ use madmax_parallel::{
     memory_per_device, MemoryBreakdown, PipelineSchedule, Plan, PlanError, Workload,
 };
 
-use crate::cost::{stage_cluster, stage_models};
-use crate::partition::Stage;
+#[cfg(test)]
+use crate::{
+    cost::{stage_cluster, stage_models},
+    partition::Stage,
+};
 
-/// Computes the worst-stage per-device footprint of a pipelined mapping and
-/// checks it against usable HBM.
-///
-/// Composed of [`stage_memory`] (the per-stage raw footprints, which do
-/// not depend on the microbatch count or schedule) and
-/// [`fold_pipeline_memory`] (the schedule-aware worst-stage fold); the
-/// shared `PipelineCostTable` caches the former and re-runs only the
-/// latter per candidate.
-///
-/// # Errors
-///
-/// [`PlanError::InvalidStrategy`] for class/strategy mismatches,
-/// [`PlanError::InvalidPipeline`] for indivisible device counts, and
-/// [`PlanError::OutOfMemory`] when the worst stage exceeds usable HBM
-/// (unless the plan ignores memory limits).
-pub fn pipeline_memory(
+/// The worst-stage per-device footprint of a pipelined mapping, checked
+/// against usable HBM: [`stage_memory`] folded by
+/// [`fold_pipeline_memory`] from scratch. The fresh-pricing reference the
+/// cost table (which caches the former per stage split) is tested against.
+#[cfg(test)]
+pub(crate) fn pipeline_memory(
     model: &ModelArch,
     cluster: &ClusterSpec,
     plan: &Plan,

@@ -25,12 +25,15 @@
 //! set (stage adjacency, 1F1B in-flight bound, GPipe bubble floor) lives
 //! in `madmax-verify`.
 
+use std::time::Instant;
+
 use madmax_hw::ClusterSpec;
 use madmax_model::ModelArch;
 use madmax_parallel::{Plan, PlanError, Workload};
 
 use madmax_core::collective::CollectiveModel;
 use madmax_core::compute::UtilizationModel;
+use madmax_core::prof::Phase;
 use madmax_core::{schedule_into, serve_stats_from, EngineScratch, IterationReport};
 
 use crate::schedule::{build_pipeline_trace_into, build_serve_trace_into};
@@ -60,6 +63,8 @@ use crate::table::PipelineCostTable;
 ///   synthesized report is byte-identical to full simulation (automatic
 ///   fallback when the exactness conditions fail).
 ///
+/// The host time of each phase run is added to `scratch.phases`.
+///
 /// # Errors
 ///
 /// [`PlanError::InvalidPipeline`] when the plan has no active pipeline
@@ -86,10 +91,10 @@ pub fn run_pipelined_cached(
 
     // Closed-form steady-state path: assemble only prefill + transient
     // tokens, advance the rest analytically (byte-identical or fallback).
+    let mut t = Instant::now();
     if let Some((decode, decode_len)) = priced.decode {
         if table.analytic_serve() && decode_len >= madmax_core::steady::MIN_ANALYTIC_DECODE {
             let explicit = madmax_core::steady::EXPLICIT_TOKENS;
-            let _span = madmax_core::prof::span("steady.pipeline");
             build_serve_trace_into(
                 priced.primary,
                 decode,
@@ -104,14 +109,16 @@ pub fn run_pipelined_cached(
                 decode_len,
                 decode_batch: model.global_batch,
             };
-            if let Some(report) = madmax_core::evaluate_serve_prefix(
+            let report = madmax_core::evaluate_serve_prefix(
                 &scratch.trace,
                 explicit,
                 &dims,
                 model,
                 priced.memory,
                 &mut scratch.steady,
-            ) {
+            );
+            t = scratch.phases.record(Phase::Steady, t);
+            if let Some(report) = report {
                 table.analytic_counters().hit();
                 table.memo_insert(priced.memo_key, &report);
                 return Ok(report);
@@ -119,30 +126,25 @@ pub fn run_pipelined_cached(
         }
     }
 
-    {
-        let _span = madmax_core::prof::span("assemble.pipeline");
-        match priced.decode {
-            Some((decode, decode_len)) => build_serve_trace_into(
-                priced.primary,
-                decode,
-                &priced.cfg,
-                decode_len,
-                priced.prompt_len,
-                &mut scratch.trace,
-            ),
-            None => build_pipeline_trace_into(
-                priced.primary,
-                &priced.cfg,
-                table.workload().has_backward(),
-                &mut scratch.trace,
-            ),
-        }
-        schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
+    match priced.decode {
+        Some((decode, decode_len)) => build_serve_trace_into(
+            priced.primary,
+            decode,
+            &priced.cfg,
+            decode_len,
+            priced.prompt_len,
+            &mut scratch.trace,
+        ),
+        None => build_pipeline_trace_into(
+            priced.primary,
+            &priced.cfg,
+            table.workload().has_backward(),
+            &mut scratch.trace,
+        ),
     }
-    if cfg!(debug_assertions) {
-        madmax_core::debug_check_schedule(&scratch.trace, &scratch.sched);
-    }
-    let _span = madmax_core::prof::span("report.pipeline");
+    let t = scratch.phases.record(Phase::Assemble, t);
+    schedule_into(&scratch.trace, &mut scratch.sched, &mut scratch.streams);
+    let t = scratch.phases.record(Phase::Schedule, t);
     let model = table.report_model();
     let mut report = IterationReport::from_schedule_in(
         &scratch.trace,
@@ -160,6 +162,10 @@ pub fn run_pipelined_cached(
             decode_len,
             model.global_batch,
         ));
+    }
+    scratch.phases.record(Phase::Report, t);
+    if cfg!(debug_assertions) {
+        madmax_core::debug_check_schedule(&scratch.trace, &scratch.sched);
     }
     table.memo_insert(priced.memo_key, &report);
     Ok(report)
@@ -190,20 +196,18 @@ pub fn run_single_use(
     scratch: &mut EngineScratch,
 ) -> Result<IterationReport, PlanError> {
     if plan.pipeline.is_some_and(|c| c.is_pipelined()) {
-        let table = {
-            let _span = madmax_core::prof::span("price.pipeline");
-            let mut table = PipelineCostTable::new(
-                model,
-                cluster,
-                workload,
-                plan.options,
-                collectives,
-                utilization,
-            );
-            table.set_analytic_serve(analytic_serve);
-            table.ensure_plan(plan);
-            table
-        };
+        let t = Instant::now();
+        let mut table = PipelineCostTable::new(
+            model,
+            cluster,
+            workload,
+            plan.options,
+            collectives,
+            utilization,
+        );
+        table.set_analytic_serve(analytic_serve);
+        table.ensure_plan(plan);
+        scratch.phases.record(Phase::Price, t);
         run_pipelined_cached(&table, plan, scratch)
     } else {
         madmax_core::run_flat_single_use(

@@ -310,15 +310,6 @@ impl<'a> PipelineCostTable<'a> {
         }
     }
 
-    /// Drops every memoized report (counters are untouched). Evaluation
-    /// is memo-transparent — reports for equal keys are byte-identical —
-    /// so this only affects *cost*: benchmarks and A/B validation call it
-    /// between iterations to measure the assembly or closed-form path
-    /// itself rather than a memo hit.
-    pub fn clear_memo(&self) {
-        self.memo.lock().expect("memo lock poisoned").clear();
-    }
-
     /// The model this table was priced for (the caller's handle, used for
     /// identity checks).
     pub fn model(&self) -> &'a ModelArch {

@@ -286,15 +286,6 @@ impl VerifyReport {
     pub fn of(&self, rule: RuleId) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(move |d| d.rule == rule)
     }
-
-    /// Folds another report's findings into this one (critical path keeps
-    /// the first analysis seen).
-    pub fn merge(&mut self, other: VerifyReport) {
-        self.diagnostics.extend(other.diagnostics);
-        if self.critical_path.is_none() {
-            self.critical_path = other.critical_path;
-        }
-    }
 }
 
 impl std::fmt::Display for VerifyReport {

@@ -124,13 +124,6 @@ impl Verifier {
         self
     }
 
-    /// Adds the workload the trace was built for.
-    #[must_use]
-    pub fn with_workload(mut self, workload: Workload) -> Self {
-        self.workload = Some(workload);
-        self
-    }
-
     /// Runs the trace well-formedness pass alone (no schedule required).
     pub fn verify_trace(&self, trace: &Trace) -> VerifyReport {
         let mut out = VerifyReport::new();

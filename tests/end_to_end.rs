@@ -1,6 +1,9 @@
 //! Cross-crate end-to-end tests: JSON config round trips driving the full
 //! pipeline, determinism, and consistency between the simulator's views.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use madmax_core::config::{ExperimentSpec, SimulationConfig};
 use madmax_core::StreamId;
 use madmax_engine::{simulate, Scenario};
@@ -200,12 +203,42 @@ fn moe_expert_parallelism_creates_blocking_a2a() {
     assert!(exposed_a2a.as_secs() > 0.0);
 }
 
-/// Runs the `madmax` CLI binary with `args`.
-fn madmax(args: &[&str]) -> std::process::Output {
+/// A fresh, empty directory under the system temp dir, removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "madmax-end-to-end-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir is creatable");
+        Self(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Runs the `madmax` CLI binary with `args` in the working directory `dir`.
+fn madmax_in(dir: &Path, args: &[&str]) -> std::process::Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_madmax"))
+        .current_dir(dir)
         .args(args)
         .output()
         .expect("madmax binary runs")
+}
+
+/// Runs the `madmax` CLI binary with `args` in a fresh temp directory, so
+/// nothing it writes lands in the source tree.
+fn madmax(args: &[&str]) -> std::process::Output {
+    madmax_in(&TempDir::new().0, args)
 }
 
 #[test]
@@ -258,12 +291,14 @@ fn cli_rejects_unknown_flags() {
 
 #[test]
 fn cli_figures_runs_selected_experiments() {
-    let out = madmax(&["figures", "--only", "table1", "--threads", "1"]);
+    let dir = TempDir::new();
+    let out = madmax_in(&dir.0, &["figures", "--only", "table1", "--threads", "1"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let table1 = madmax_bench::experiments::tables::table1();
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert_eq!(
         stdout,
-        format!("{}\n", madmax_bench::experiments::tables::table1()),
+        format!("{table1}\n"),
         "stdout holds exactly the Table I report"
     );
     let stderr = String::from_utf8(out.stderr).unwrap();
@@ -272,6 +307,20 @@ fn cli_figures_runs_selected_experiments() {
         .filter_map(|l| l.strip_prefix(">>> "))
         .collect();
     assert_eq!(ran, ["table1_validation"], "{stderr}");
+    // Reports land under the working directory's `results/`.
+    let saved = std::fs::read_to_string(dir.0.join("results/table1_validation.txt")).unwrap();
+    assert_eq!(saved, table1);
+
+    // A report that cannot be written fails the command.
+    let blocked = TempDir::new();
+    std::fs::write(blocked.0.join("results"), "a plain file").unwrap();
+    let out = madmax_in(
+        &blocked.0,
+        &["figures", "--only", "table1", "--threads", "1"],
+    );
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.starts_with("error: "), "{stderr}");
 
     // An empty selection must not succeed silently.
     let out = madmax(&["figures", "--only", "no-such-figure"]);
@@ -284,4 +333,37 @@ fn cli_figures_runs_selected_experiments() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown flag"), "{stderr}");
+}
+
+#[test]
+fn cli_search_telemetry_reports_phase_times() {
+    let dir = TempDir::new();
+    let out = madmax_in(
+        &dir.0,
+        &[
+            "search",
+            "--model",
+            "llama2",
+            "--system",
+            "llama",
+            "--threads",
+            "2",
+            "--telemetry",
+            "telemetry.json",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let js = std::fs::read_to_string(dir.0.join("telemetry.json")).unwrap();
+    let telemetry = serde_json::parse_value(&js).unwrap();
+    let phase = |name: &str, key: &str| {
+        let phases = serde::field(telemetry.as_map().unwrap(), "phases").unwrap();
+        let entry = serde::field(phases.as_map().unwrap(), name).unwrap();
+        serde::field(entry.as_map().unwrap(), key)
+            .unwrap()
+            .as_u64()
+            .unwrap()
+    };
+    assert!(phase("assemble", "count") > 0, "{js}");
+    assert!(phase("price", "count") > 0, "{js}");
+    assert_eq!(phase("verify", "count"), 0, "no --verify: {js}");
 }

@@ -190,6 +190,41 @@ fn insight6_context_length_diminishing_returns() {
 }
 
 #[test]
+fn insight7_cloud_mappings_shift_the_pareto_frontier() {
+    let all = madmax_cloud::sweep(&ModelId::DlrmA.build(), &[16, 32, 64]);
+    let defaults: Vec<_> = all.iter().filter(|p| !p.optimized).collect();
+    assert!(!defaults.is_empty(), "some default-FSDP mapping fits");
+    for d in defaults {
+        // The search includes the default mapping, so wherever FSDP fits,
+        // MAD-Max finds a mapping at least as fast and as cheap.
+        let m = all
+            .iter()
+            .find(|p| p.optimized && p.instance == d.instance && p.instances == d.instances)
+            .unwrap_or_else(|| panic!("no MAD-Max point for {} x{}", d.instance, d.instances));
+        assert!(
+            m.elapsed_hours <= d.elapsed_hours && m.norm_gpu_hours <= d.norm_gpu_hours,
+            "{} x{}: MAD-Max {:.3} h / {:.3} GPU-h vs FSDP {:.3} h / {:.3} GPU-h",
+            d.instance,
+            d.instances,
+            m.elapsed_hours,
+            m.norm_gpu_hours,
+            d.elapsed_hours,
+            d.norm_gpu_hours
+        );
+    }
+    // Optimized mappings own the whole cost/speed frontier (Fig. 16).
+    let front = madmax_cloud::frontier(&all);
+    assert!(!front.is_empty());
+    for p in &front {
+        assert!(
+            p.payload.optimized,
+            "default-FSDP point on the frontier: {} x{}",
+            p.payload.instance, p.payload.instances
+        );
+    }
+}
+
+#[test]
 fn insight8_gpu_generations_and_superpod() {
     let model = ModelId::DlrmA.build();
     let plan = Plan::fsdp_baseline(&model);
